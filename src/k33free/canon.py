@@ -1,25 +1,31 @@
 """Canonical forms under paratopy/isotopy and symmetry-group computation.
 
-The canonical representative of a class is the lexicographically least cell
-matrix (flattened row-major) over the allowed group: row, column and letter
-permutations, plus the shape-preserving conjugations at main level.
+The canonical representative of a class is its image under the allowed
+group (row, column and letter permutations, plus the shape-preserving
+conjugations at main level) picked by three group-invariant rules in turn
+(so it is not the lex-least cell matrix):
+
+1. Rows 0 and 1 come from a (conjugation, row r0, row r1) triple of the
+   distinguished cycle type: the permutation linking r0 and r1 has the
+   fewest conjugating maps, then the lex-least one-line form.
+2. Only the triples of least row-cycle invariant are expanded: the sorted
+   multiset, over the other rows r, of (cycle type of (r0, r), cycle type
+   of (r1, r)), after McKay, Meynert & Myrvold (J. Combin. Des. 2007).
+3. The lex-least tail (rows 2..m-1, compared row by row) wins.
 
 The search exploits latin structure instead of permuting blindly:
 
 * row 0 of any candidate image can always be normalized to 0..n-1, so it is
   never stored or searched;
 * row 1 is the one-line form of a conjugate of the column permutation linking
-  two original rows; the conjugate is determined by the cycle type (cycles
-  sorted by ascending length, laid out on consecutive positions), so only
-  (conjugation, first row, second row) triples of the distinguished cycle
-  type — fewest conjugating maps, then lex-least row form — are expanded,
-  and the branching enumerates which cycle lands on which block and with
-  which rotation;
+  r0 and r1, fixed by its cycle type (cycles sorted by ascending length, laid
+  out on consecutive positions); the branching enumerates which cycle lands
+  on which block and with which rotation;
 * once the column map is complete the images of the remaining rows are fixed
   and their optimal order is just sorted order.
 
-Every assignment realizing the minimum is retained, which yields the full
-stabilizer (autotopism or paratopism group) from the same search.
+Every assignment realizing the minimum is kept: together they give the full
+stabilizer, and their conjugations the number of isotopy classes.
 """
 
 from __future__ import annotations
@@ -28,12 +34,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .core import (
     CONJ_ID,
     LatinRectangle,
     Paratopism,
-    apply,
     conjugate,
     shape_preserving_conjs,
 )
@@ -51,10 +57,6 @@ class SymmetryGroup:
     kind: str  # 'autotopism' | 'paratopism'
     order: int
     elements: list[Paratopism]  # all elements (possibly truncated, see order)
-
-    @property
-    def generators(self) -> list[Paratopism]:
-        return self.elements
 
 
 def allowed_group_order(m: int, n: int, level: Level = "main") -> int:
@@ -112,17 +114,19 @@ class _Search:
             self.conjs = shape_preserving_conjs(self.m, self.n)
         self.images = [(sigma, conjugate(s, sigma).rows) for sigma in self.conjs]
 
-    def run(self) -> tuple[LatinRectangle, int, list[Paratopism]]:
+    def run(self) -> tuple[LatinRectangle, int, list[Paratopism], int]:
+        """(form, stabilizer order, minimal leaves as maps, isotopy classes)."""
         m, n = self.m, self.n
         if m == 1:
             return self._run_single_row()
 
         # gather (sigma, grid, r0, r1, pi, cycles) for the distinguished
         # cycle type: fewest conjugating maps first (keeps the expansion
-        # small for squares rich in short cycles), then lex-least row form
+        # small for squares rich in short cycles), then lex-least row form;
+        # types_of[sigma][a][b] is the cycle type linking rows a and b
         best_key: tuple | None = None
-        best_row1: tuple[int, ...] | None = None
         group: list[tuple] = []
+        types_of = {}
         for sigma, grid in self.images:
             inv_rows = []
             for row in grid:
@@ -130,6 +134,7 @@ class _Search:
                 for c, l in enumerate(row):
                     inv[l] = c
                 inv_rows.append(inv)
+            types_of[sigma] = types = [[()] * m for _ in range(m)]
             for r0 in range(m):
                 pos0 = inv_rows[r0]
                 for r1 in range(m):
@@ -139,30 +144,40 @@ class _Search:
                     pi = tuple(pos0[row1[c]] for c in range(n))
                     cycles = _cycles_of(pi)
                     lengths = tuple(sorted(len(cy) for cy in cycles))
+                    types[r0][r1] = lengths
                     key = (_centralizer_order(lengths), _type_row(lengths))
                     if best_key is None or key < best_key:
                         best_key = key
-                        best_row1 = key[1]
                         group = [(sigma, grid, r0, r1, pi, cycles)]
                     elif key == best_key:
                         group.append((sigma, grid, r0, r1, pi, cycles))
-        assert best_row1 is not None
+        assert best_key is not None
 
-        self.best_tail: tuple[int, ...] | None = None
+        # row-cycle refinement: keep the triples of least invariant
+        invariants = [
+            sorted(
+                (types_of[sg][r0][r], types_of[sg][r1][r])
+                for r in range(m) if r not in (r0, r1)
+            )
+            for sg, _, r0, r1, _, _ in group
+        ]
+        least = min(invariants)
+
+        self.best_tail: list[tuple[int, ...]] | None = None
         self.leaf_count = 0
         self.leaves: list[tuple] = []
-        for sigma, grid, r0, r1, pi, cycles in group:
-            self._expand(sigma, grid, r0, r1, pi, cycles)
+        self.leaf_conjs: set[tuple[int, int, int]] = set()
+        for entry, inv in zip(group, invariants):
+            if inv == least:
+                self._expand(*entry)
 
-        assert self.best_tail is not None or m == 2
-        tail = self.best_tail or ()
-        rows = [tuple(range(n)), best_row1]
-        rows.extend(
-            tuple(tail[i * n : (i + 1) * n]) for i in range(m - 2)
-        )
-        canon = LatinRectangle(tuple(rows))
+        assert self.best_tail is not None
+        canon = LatinRectangle((tuple(range(n)), best_key[1], *self.best_tail))
         maps = [self._leaf_to_paratopism(leaf) for leaf in self.leaves]
-        return canon, self.leaf_count, maps
+        # minimal leaves are a stabilizer coset, so their conjugations are a
+        # coset of its image in the conjugation group: iso = |conjs| / |image|
+        iso = len(self.conjs) // len(self.leaf_conjs)
+        return canon, self.leaf_count, maps, iso
 
     # -- expansion of one (sigma, r0, r1) triple ---------------------------
 
@@ -209,22 +224,21 @@ class _Search:
         assign_block(0, 0)
 
     def _evaluate(self, sigma, grid, r0, r1, pis, other_rows, col2pos):
-        n = self.n
-        pos2col = [0] * n
+        pos2col = [0] * self.n
         for c, p in enumerate(col2pos):
             pos2col[p] = c
-        imgs = []
-        for r in other_rows:
-            pi_r = pis[r]
-            imgs.append((tuple(col2pos[pi_r[pos2col[j]]] for j in range(n)), r))
-        imgs.sort()
-        tail = tuple(v for img, _ in imgs for v in img)
+        imgs = sorted(
+            (tuple([col2pos[pis[r][c]] for c in pos2col]), r) for r in other_rows
+        )
+        tail = [img for img, _ in imgs]
         if self.best_tail is None or tail < self.best_tail:
             self.best_tail = tail
             self.leaf_count = 1
             self.leaves = [(sigma, [r0, r1] + [r for _, r in imgs], tuple(col2pos))]
+            self.leaf_conjs = {sigma}
         elif tail == self.best_tail:
             self.leaf_count += 1
+            self.leaf_conjs.add(sigma)
             if self.leaf_count <= ELEMENT_CAP:
                 self.leaves.append(
                     (sigma, [r0, r1] + [r for _, r in imgs], tuple(col2pos))
@@ -247,7 +261,8 @@ class _Search:
 
     def _run_single_row(self):
         # any single row normalizes to the identity; the stabilizer is the
-        # full gamma choice (lambda then forced), times the conjugations
+        # full gamma choice (lambda then forced), times the conjugations, so
+        # the main class is one isotopy class
         n = self.n
         canon = LatinRectangle((tuple(range(n)),))
         order = factorial(n) * len(self.conjs)
@@ -261,29 +276,33 @@ class _Search:
                 for gamma in itertools.permutations(range(n)):
                     lam = tuple(gamma[inv[l]] for l in range(n))
                     maps.append(Paratopism((0,), tuple(gamma), lam, sigma))
-        return canon, order, maps
+        return canon, order, maps, 1
+
+
+class Stabilized(NamedTuple):
+    """What :func:`canonical_with_stabilizer` returns."""
+
+    form: LatinRectangle
+    order: int  # exact stabilizer order
+    elements: list[Paratopism]  # fix the rectangle; truncated at ELEMENT_CAP
+    isotopy_classes: int  # isotopy classes in the main class (1 at isotopy level)
 
 
 def canonical_form(s: LatinRectangle, level: Level = "main") -> LatinRectangle:
     """Distinguished class representative; idempotent."""
-    canon, _, _ = _Search(s, level).run()
-    return canon
+    return _Search(s, level).run()[0]
 
 
-def canonical_with_stabilizer(
-    s: LatinRectangle, level: Level = "main"
-) -> tuple[LatinRectangle, int, list[Paratopism]]:
-    """(canonical form, stabilizer order, stabilizer elements).
+def canonical_with_stabilizer(s: LatinRectangle, level: Level = "main") -> Stabilized:
+    """Canonical form, stabilizer order and elements, and isotopy class count.
 
     The elements fix ``s`` itself (not the canonical form) and their conj
-    component is the identity when ``level == 'isotopy'``.
+    component is the identity when ``level == 'isotopy'``.  The isotopy
+    class count is exact even when the element list is truncated.
     """
-    canon, count, maps = _Search(s, level).run()
-    if not maps:
-        return canon, count, []
-    g0_inv = maps[0].inverse()
-    elements = [g0_inv.compose(g) for g in maps]
-    return canon, count, elements
+    canon, count, maps, iso = _Search(s, level).run()
+    g0_inv = maps[0].inverse() if maps else None
+    return Stabilized(canon, count, [g0_inv.compose(g) for g in maps], iso)
 
 
 def symmetry_group(s: LatinRectangle, kind: str = "autotopism") -> SymmetryGroup:
@@ -293,8 +312,8 @@ def symmetry_group(s: LatinRectangle, kind: str = "autotopism") -> SymmetryGroup
     shape-preserving conjugations as well.
     """
     level = "isotopy" if kind == "autotopism" else "main"
-    _, order, elements = canonical_with_stabilizer(s, level)
-    return SymmetryGroup(kind=kind, order=order, elements=elements)
+    stab = canonical_with_stabilizer(s, level)
+    return SymmetryGroup(kind=kind, order=stab.order, elements=stab.elements)
 
 
 def cell_orbits(group: SymmetryGroup, s: LatinRectangle) -> list[set[tuple[int, int]]]:
@@ -325,17 +344,3 @@ def cell_orbits(group: SymmetryGroup, s: LatinRectangle) -> list[set[tuple[int, 
         orbits.setdefault(find(cell), set()).add(cell)
     return list(orbits.values())
 
-
-def count_total(reps: list[LatinRectangle]) -> int:
-    """Orbit-stabilizer total of labeled rectangles across the given classes.
-
-    Every entry must be a main-level canonical representative and the entries
-    pairwise non-paratopic (not re-checked here beyond canonicity).
-    """
-    total = 0
-    for rep in reps:
-        canon, order, _ = _Search(rep, "main").run()
-        if canon != rep:
-            raise ValueError("catalog entry is not main-level canonical")
-        total += allowed_group_order(rep.m, rep.n, "main") // order
-    return total

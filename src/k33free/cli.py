@@ -111,6 +111,8 @@ def cmd_enumerate(args, report: Report) -> int:
 
 
 def cmd_census(args, report: Report) -> int:
+    if args.n_max < 3:
+        raise ValueError(f"--n-max must be at least 3, got {args.n_max}")
     if args.n_max >= 10 and not args.stretch:
         raise LatinError("columns n >= 10 are stretch runs; pass --stretch")
     if args.n_max >= 9 and not (args.long or args.stretch):
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--long", action="store_true",
-                    help="allow the multi-hour n=9 column")
+                    help="allow the n=9 column (minutes)")
     sp.add_argument("--stretch", action="store_true",
                     help="allow the multi-day n>=10 columns")
     sp.add_argument("--progress", action="store_true")

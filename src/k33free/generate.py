@@ -3,8 +3,9 @@
 One level extends every main-class representative of K3,3-free m-by-n
 rectangles by a row: candidate cells, a compatibility graph whose extra
 clause kills every pair that would close a K3,3 with the existing rows,
-and size-n cliques (one candidate per column) as the new rows.  Children
-are deduplicated by main-level canonical form.
+and size-n cliques (one candidate per column) as the new rows, one per
+orbit of the parent's stabilizer.  Children are deduplicated by main-level
+canonical form and keep their stabilizer order and isotopy class count.
 
 Each level is validated by counting all labeled rectangles two ways (from
 parent orbits times raw extension counts, and from child orbits); any
@@ -19,11 +20,10 @@ from dataclasses import dataclass, field
 from math import factorial
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import canon
-from .core import CONJ_CL, CONJ_ID, LatinRectangle, LatinError, conjugate, validate
-from .pattern import is_k33_free
+from .core import CONJ_ID, LatinError, LatinRectangle, Paratopism
 
 
 class Candidate(NamedTuple):
@@ -37,9 +37,6 @@ class Candidate(NamedTuple):
 class CompatibilityGraph:
     vertices: list[Candidate]
     adjacency: list[int]  # bitmask per vertex
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool(self.adjacency[i] >> j & 1)
 
 
 def candidates(s: LatinRectangle) -> list[Candidate]:
@@ -117,17 +114,12 @@ def cliques_of_size(g: CompatibilityGraph, size: int) -> list[tuple[Candidate, .
     return sorted(set(out))
 
 
-def extend_class(rep: LatinRectangle) -> list[LatinRectangle]:
-    """All K3,3-free (m+1)-row extensions of a K3,3-free representative."""
-    cands = candidates(rep)
-    g = compatibility_graph(rep, cands)
-    children = []
-    for clique in cliques_of_size(g, rep.n):
-        row = [0] * rep.n
-        for c, l in clique:
-            row[c] = l
-        children.append(LatinRectangle(rep.rows + (tuple(row),)))
-    return children
+def clique_row(clique: Sequence[Candidate], n: int) -> tuple[int, ...]:
+    """The new row a size-n clique (one candidate per column) spells out."""
+    row = [0] * n
+    for c, l in clique:
+        row[c] = l
+    return tuple(row)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +133,7 @@ class LevelStats:
     isotopy_classes: int
     total_labeled: int
     raw_extensions: int  # cliques found while extending the previous level
-    seconds: float
+    seconds: float = 0.0  # the whole level, checkpoint and isotopy counts included
 
 
 @dataclass
@@ -166,72 +158,65 @@ def _derangements(n: int) -> int:
     return d1 if n >= 1 else 1
 
 
-#: skip stabilizer-orbit reduction of cliques above this group order
-_STAB_ACTION_CAP = 768
+ClassStats = tuple[int, int]  # (stabilizer order, isotopy classes) of a class
 
 
-def _act_on_clique(elem, clique: tuple[Candidate, ...]) -> tuple[Candidate, ...]:
-    gamma, lam, swap = elem
-    if swap:
-        return tuple(sorted(Candidate(gamma[l], lam[c]) for c, l in clique))
-    return tuple(sorted(Candidate(gamma[c], lam[l]) for c, l in clique))
+def _orbit_representatives(rows: list[tuple], stab: Sequence[Paratopism]) -> list[tuple]:
+    """The first new row of each orbit of the parent's stabilizer ``stab``.
+
+    ``stab`` must be complete.  Its elements fix the parent rows, so each
+    maps a child to the child with the image row; marking every image of a
+    kept row costs orbits x |stab| instead of rows x |stab|.
+    """
+    actions = [(g.gamma, g.lam, g.conj != CONJ_ID) for g in stab]
+    seen: set[tuple[int, ...]] = set()
+    kept = []
+    for row in rows:
+        if row in seen:
+            continue
+        kept.append(row)
+        for gamma, lam, swap in actions:
+            image = [0] * len(row)
+            if swap:
+                for c, l in enumerate(row):
+                    image[gamma[l]] = lam[c]
+            else:
+                for c, l in enumerate(row):
+                    image[gamma[c]] = lam[l]
+            seen.add(tuple(image))
+    return kept
 
 
-def _process_parent(args) -> tuple[int, dict]:
+def _process_parent(args) -> tuple[int, dict[tuple, ClassStats]]:
     """Extend one parent representative; dedupe children by canonical form."""
     parent_rows, n = args
     parent = LatinRectangle(parent_rows)
-    cands = candidates(parent)
-    g = compatibility_graph(parent, cands)
-    cliques = cliques_of_size(g, n)
-    raw = len(cliques)
+    g = compatibility_graph(parent, candidates(parent))
+    rows = [clique_row(clique, n) for clique in cliques_of_size(g, n)]
+    raw = len(rows)
 
-    _, stab_order, stab = canon.canonical_with_stabilizer(parent, "main")
-    use_stab = 1 < stab_order <= _STAB_ACTION_CAP and len(stab) == stab_order
-    if use_stab:
-        elems = [
-            (p.gamma, p.lam, p.conj != CONJ_ID)
-            for p in stab
-        ]
-        seen: set[tuple[Candidate, ...]] = set()
-        reduced = []
-        for clique in cliques:
-            key = min(_act_on_clique(e, clique) for e in elems)
-            if key not in seen:
-                seen.add(key)
-                reduced.append(clique)
-        cliques = reduced
+    stab = canon.canonical_with_stabilizer(parent, "main")
+    if len(stab.elements) == stab.order:
+        rows = _orbit_representatives(rows, stab.elements)
 
-    children: dict[tuple, int] = {}
-    for clique in cliques:
-        row = [0] * n
-        for c, l in clique:
-            row[c] = l
-        child = LatinRectangle(parent_rows + (tuple(row),))
-        form, order, _ = canon.canonical_with_stabilizer(child, "main")
-        children.setdefault(form.rows, order)
+    children: dict[tuple, ClassStats] = {}
+    for row in rows:
+        child = LatinRectangle(parent_rows + (row,))
+        form, order, _, iso = canon.canonical_with_stabilizer(child, "main")
+        children.setdefault(form.rows, (order, iso))
     return raw, children
 
 
-def _isotopy_class_count(rep: LatinRectangle) -> int:
-    from .core import shape_preserving_conjs
-
-    forms = set()
-    for sigma in shape_preserving_conjs(rep.m, rep.n):
-        forms.add(canon.canonical_form(conjugate(rep, sigma), "isotopy").rows)
-    return len(forms)
-
-
-def _two_row_reps(n: int) -> dict[tuple, int]:
+def _two_row_reps(n: int) -> dict[tuple, ClassStats]:
     """Main classes of 2-by-n rectangles: one per cycle type (partition, parts >= 2)."""
-    reps: dict[tuple, int] = {}
+    reps: dict[tuple, ClassStats] = {}
 
     def partitions(remaining: int, min_part: int, acc: tuple[int, ...]):
         if remaining == 0:
             row1 = canon._type_row(acc)
             rect = LatinRectangle((tuple(range(n)), row1))
-            form, order, _ = canon.canonical_with_stabilizer(rect, "main")
-            reps[form.rows] = order
+            form, order, _, iso = canon.canonical_with_stabilizer(rect, "main")
+            reps[form.rows] = (order, iso)
             return
         for p in range(min_part, remaining + 1):
             if remaining - p != 1:
@@ -255,6 +240,8 @@ def classify_column(
     """
     if not (1 <= m_max <= n):
         raise ValueError("need 1 <= m_max <= n")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -262,10 +249,10 @@ def classify_column(
     results: dict[int, ClassificationResult] = {}
     # level 1: single reduced row
     seed = LatinRectangle((tuple(range(n)),))
-    level_reps: dict[tuple, int] = {
-        seed.rows: factorial(n) * (2 if n > 1 else 6)
+    level_reps: dict[tuple, ClassStats] = {
+        seed.rows: (factorial(n) * (2 if n > 1 else 6), 1)
     }
-    results[1] = _make_result(1, n, level_reps, raw=0, seconds=0.0)
+    results[1] = _make_result(1, n, level_reps, raw=0)
 
     for m in range(2, m_max + 1):
         t0 = time.time()
@@ -276,10 +263,11 @@ def classify_column(
             # second rows are exactly the derangements; classes are cycle types
             level_reps = _two_row_reps(n)
             raw = _derangements(n)
+            lhs = factorial(n) * raw
         else:
             parents = sorted(level_reps)
             tasks = [(rows, n) for rows in parents]
-            merged: dict[tuple, int] = {}
+            merged: dict[tuple, ClassStats] = {}
             raw = 0
             lhs = 0
             if jobs > 1:
@@ -291,36 +279,22 @@ def classify_column(
                 raw += raw_p
                 lhs += (
                     canon.allowed_group_order(m - 1, n, "main")
-                    // level_reps[rows]
+                    // level_reps[rows][0]
                     * raw_p
                 )
-                for child_rows, order in children.items():
-                    merged.setdefault(child_rows, order)
+                for child_rows, stats in children.items():
+                    merged.setdefault(child_rows, stats)
             level_reps = merged
-            rhs = sum(
-                canon.allowed_group_order(m, n, "main") // order
-                for order in level_reps.values()
-            )
+        if cached is None:
+            rhs = _labeled_total(m, n, level_reps)
             if lhs != rhs:
                 raise DoubleCountError(
                     f"level {m}x{n}: parent-side total {lhs} != child-side total {rhs}"
                 )
-        if m == 2 and cached is None:
-            # the same validation for the special-cased level
-            lhs = factorial(n) * raw
-            rhs = sum(
-                canon.allowed_group_order(2, n, "main") // order
-                for order in level_reps.values()
-            )
-            if lhs != rhs:
-                raise DoubleCountError(
-                    f"level 2x{n}: parent-side total {lhs} != child-side total {rhs}"
-                )
-        seconds = time.time() - t0
         _store_level(out_path, n, m, level_reps, raw)
-        results[m] = _make_result(m, n, level_reps, raw, seconds)
+        results[m] = r = _make_result(m, n, level_reps, raw)
+        r.levels[m].seconds = seconds = time.time() - t0
         if progress:
-            r = results[m]
             print(
                 f"  level {m}x{n}: {r.main_class_count} main classes, "
                 f"total {r.total_labeled_count} ({seconds:.1f}s)",
@@ -329,19 +303,20 @@ def classify_column(
         if not level_reps:
             # nothing to extend; all higher levels are empty
             for mm in range(m + 1, m_max + 1):
-                results[mm] = _make_result(mm, n, {}, raw=0, seconds=0.0)
+                results[mm] = _make_result(mm, n, {}, raw=0)
             break
     return results
 
 
-def _make_result(
-    m: int, n: int, reps: dict[tuple, int], raw: int, seconds: float
-) -> ClassificationResult:
+def _labeled_total(m: int, n: int, reps: dict[tuple, ClassStats]) -> int:
+    group = canon.allowed_group_order(m, n, "main")
+    return sum(group // order for order, _ in reps.values())
+
+
+def _make_result(m: int, n: int, reps: dict[tuple, ClassStats], raw: int) -> ClassificationResult:
     rep_rects = [LatinRectangle(rows) for rows in sorted(reps)]
-    total = sum(
-        canon.allowed_group_order(m, n, "main") // order for order in reps.values()
-    )
-    iso = sum(_isotopy_class_count(r) for r in rep_rects)
+    total = _labeled_total(m, n, reps)
+    iso = sum(iso for _, iso in reps.values())
     res = ClassificationResult(
         m=m,
         n=n,
@@ -350,7 +325,7 @@ def _make_result(
         isotopy_class_count=iso,
         total_labeled_count=total,
     )
-    res.levels[m] = LevelStats(m, len(rep_rects), iso, total, raw, seconds)
+    res.levels[m] = LevelStats(m, len(rep_rects), iso, total, raw)
     return res
 
 
@@ -365,21 +340,30 @@ def classify_all(m: int, n: int, jobs: int = 1, out_dir=None, progress=False) ->
 
 # -- level persistence -------------------------------------------------------
 
+#: layout and canonical forms of ``level_MxN.json``; version 2 added the
+#: per-class isotopy count and the row-cycle refined canonical forms
+CHECKPOINT_VERSION = 2
+
+
+class CheckpointError(ValueError):
+    """A stored level is of another format version, shape or layout."""
+
 
 def _level_file(out_path: Path, n: int, m: int) -> Path:
     return out_path / f"level_{m}x{n}.json"
 
 
-def _store_level(out_path, n, m, reps: dict[tuple, int], raw: int) -> None:
+def _store_level(out_path, n, m, reps: dict[tuple, ClassStats], raw: int) -> None:
     if out_path is None:
         return
     payload = {
+        "version": CHECKPOINT_VERSION,
         "m": m,
         "n": n,
         "raw_extensions": raw,
         "classes": [
-            {"rows": [list(r) for r in rows], "stab_order": order}
-            for rows, order in sorted(reps.items())
+            {"rows": [list(r) for r in rows], "stab_order": order, "iso_classes": iso}
+            for rows, (order, iso) in sorted(reps.items())
         ],
     }
     tmp = _level_file(out_path, n, m).with_suffix(".tmp")
@@ -393,9 +377,17 @@ def _load_level(out_path, n, m):
     f = _level_file(out_path, n, m)
     if not f.exists():
         return None
-    payload = json.loads(f.read_text())
-    reps = {
-        tuple(tuple(r) for r in entry["rows"]): entry["stab_order"]
-        for entry in payload["classes"]
-    }
-    return reps, payload["raw_extensions"]
+    try:
+        payload = json.loads(f.read_text())
+        version, shape = payload.get("version"), (payload.get("m"), payload.get("n"))
+        if version == CHECKPOINT_VERSION and shape == (m, n):
+            reps = {
+                tuple(map(tuple, e["rows"])): (e["stab_order"], e["iso_classes"])
+                for e in payload["classes"]
+            }
+            return reps, payload["raw_extensions"]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{f}: malformed checkpoint ({exc!r})") from None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{f}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+    raise CheckpointError(f"{f}: holds level {shape[0]}x{shape[1]}, expected {m}x{n}")

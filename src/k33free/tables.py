@@ -3,7 +3,7 @@
 MAIN_ISO holds main-class counts with isotopy-class counts where known;
 TOTALS holds the numbers of labeled K3,3-free m-by-n rectangles.  Each
 (m, n) cell carries a cost tier: "fast" cells regenerate in seconds,
-"long" in hours, "stretch" in days; tiers gate what the census command
+"long" in minutes, "stretch" in days; tiers gate what the census command
 recomputes by default.
 """
 

@@ -1,17 +1,22 @@
 """Canonical-form laws, stabilizers and orbit-stabilizer counting."""
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_rectangles, random_rectangle
-from k33free import canon
+from k33free import canon, fixtures, generate
 from k33free.core import (
     LatinRectangle,
     Paratopism,
     apply,
+    conjugate,
     group_table,
+    linear_square,
     shape_preserving_conjs,
 )
 
@@ -51,7 +56,8 @@ def test_canonical_form_shape():
 def test_stabilizer_elements_fix_the_rectangle():
     rng = random.Random(5)
     for s in (group_table("Z4"), group_table("D4"), random_rectangle(rng, 3, 6)):
-        _, order, elems = canon.canonical_with_stabilizer(s, "main")
+        stab = canon.canonical_with_stabilizer(s, "main")
+        order, elems = stab.order, stab.elements
         assert len(elems) == order
         ids = set()
         for g in elems:
@@ -66,9 +72,9 @@ def test_3x3_exhaustive_orbit_stabilizer():
     forms = {canon.canonical_form(s).rows for s in squares}
     assert len(forms) == 1
     rep = LatinRectangle(next(iter(forms)))
-    _, order, _ = canon.canonical_with_stabilizer(rep)
+    order = canon.canonical_with_stabilizer(rep).order
     assert canon.allowed_group_order(3, 3) // order == 12
-    assert canon.count_total([rep]) == 12
+    assert canon.canonical_form(rep).rows == rep.rows
 
 
 def test_isotopy_refines_main():
@@ -101,3 +107,122 @@ def test_allowed_group_order():
     assert canon.allowed_group_order(3, 5, "isotopy") == 6 * 120 * 120
     assert canon.allowed_group_order(3, 5, "main") == 6 * 120 * 120 * 2
     assert canon.allowed_group_order(4, 4, "main") == 24 * 24 * 24 * 6
+
+
+# -- row-cycle refinement ------------------------------------------------------
+
+#: squares on which the refinement keeps every distinguished triple: every
+#: pair of rows of a group table or linear square has the same cycle type,
+#: and the order-8 K3,3-free squares turn out to tie as well
+TIED = {
+    "Z2xZ2xZ2": lambda: group_table("Z2xZ2xZ2"),
+    "linear5": lambda: linear_square(5, 1, 2),
+    "linear7": lambda: linear_square(7, 1, 3),
+    "fig3_a": lambda: fixtures.load("fig3_a"),
+    "fig3_b": lambda: fixtures.load("fig3_b"),
+}
+
+
+def distinguished_triples(s):
+    """(conjugation, r0, r1) triples whose row pair has the distinguished cycle type."""
+    keys = []
+    for sigma in shape_preserving_conjs(s.m, s.n):
+        grid = conjugate(s, sigma).rows
+        for r0, r1 in itertools.permutations(range(s.m), 2):
+            pi = [grid[r0].index(l) for l in grid[r1]]
+            lengths = tuple(sorted(len(c) for c in canon._cycles_of(pi)))
+            keys.append((canon._centralizer_order(lengths), canon._type_row(lengths)))
+    return keys.count(min(keys))
+
+
+def expanded_triples(s, monkeypatch):
+    calls = []
+    real = canon._Search._expand
+    monkeypatch.setattr(canon._Search, "_expand", lambda self, *a: calls.append(1) or real(self, *a))
+    canon.canonical_form(s)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_refinement_ties_and_splits(monkeypatch):
+    for name, make in TIED.items():
+        s = make()
+        assert expanded_triples(s, monkeypatch) == distinguished_triples(s), name
+    rng = random.Random(3)
+    split = 0
+    for _ in range(5):
+        s = random_rectangle(rng, 5, 7)
+        split += expanded_triples(s, monkeypatch) < distinguished_triples(s)
+    assert split >= 3
+
+
+@functools.lru_cache(maxsize=None)
+def tied_form(name):
+    return canon.canonical_form(TIED[name]())
+
+
+def paratopisms(m, n):
+    perm = lambda k: st.permutations(range(k)).map(tuple)  # noqa: E731
+    return st.builds(
+        Paratopism, perm(m), perm(n), perm(n), st.sampled_from(shape_preserving_conjs(m, n))
+    )
+
+
+@pytest.mark.parametrize("name", TIED)
+def test_canonical_form_idempotent_where_refinement_ties(name):
+    c0 = tied_form(name)
+    assert canon.canonical_form(c0).rows == c0.rows
+
+
+@pytest.mark.parametrize("name", TIED)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_canonical_form_invariant_where_refinement_ties(name, data):
+    s, c0 = TIED[name](), tied_form(name)
+    p = data.draw(paratopisms(s.m, s.n))
+    assert canon.canonical_form(apply(p, s)).rows == c0.rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_canonical_form_invariant_where_refinement_splits(seed, data):
+    s = random_rectangle(random.Random(seed), 5, 7)
+    c0 = canon.canonical_form(s)
+    assert canon.canonical_form(c0).rows == c0.rows
+    p = data.draw(paratopisms(5, 7))
+    assert canon.canonical_form(apply(p, s)).rows == c0.rows
+
+
+# -- isotopy classes from the stabilizer -----------------------------------------
+
+
+def isotopy_classes_by_conjugates(s):
+    """Distinct isotopy-level forms over the shape-preserving conjugates."""
+    return len(
+        {canon.canonical_form(conjugate(s, sigma), "isotopy").rows
+         for sigma in shape_preserving_conjs(s.m, s.n)}
+    )
+
+
+def test_isotopy_classes_from_the_stabilizer():
+    col6, col7 = generate.classify_column(6, 5), generate.classify_column(7, 5)
+    rects = (
+        col6[4].representatives + col6[5].representatives
+        + col7[4].representatives + col7[5].representatives
+        + [fixtures.load("fig3_a"), fixtures.load("fig3_b")]
+    )
+    rng = random.Random(11)
+    rects += [random_rectangle(rng, 4, 6) for _ in range(5)]
+    assert len(col6[5].representatives) == 0  # 5x6 has no K3,3-free class
+    got = [canon.canonical_with_stabilizer(s).isotopy_classes for s in rects]
+    assert got == [isotopy_classes_by_conjugates(s) for s in rects]
+    assert max(got) > 1
+
+
+def test_isotopy_classes_exact_when_elements_are_truncated(monkeypatch):
+    fig3_b = fixtures.load("fig3_b")
+    full = canon.canonical_with_stabilizer(fig3_b)
+    monkeypatch.setattr(canon, "ELEMENT_CAP", 2)
+    cut = canon.canonical_with_stabilizer(fig3_b)
+    assert len(cut.elements) == 2 < cut.order == full.order
+    assert cut.isotopy_classes == full.isotopy_classes == 3

@@ -69,6 +69,37 @@ def test_census_gating(capsys):
     assert cli.main(["census", "--n-max", "10", "--long"]) == 2
 
 
+def one_line_error(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return code
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--n-max", "2"),
+    ("census", "--n-max", "-1"),
+    ("census", "--n-max", "5", "--jobs", "0"),
+    ("census", "--n-max", "5", "--jobs", "-2"),
+    ("enumerate", "--m", "3", "--n", "5", "--jobs", "0"),
+])
+def test_census_and_enumerate_reject_bad_sizes(capsys, argv):
+    assert one_line_error(capsys, *argv) == 2
+
+
+def test_stale_checkpoint_is_an_input_error(capsys, tmp_path):
+    work = tmp_path / "work"
+    assert cli.main(["enumerate", "--m", "3", "--n", "5", "--work-dir", str(work)]) == 0
+    capsys.readouterr()
+    f = work / "level_3x5.json"
+    payload = json.loads(f.read_text())
+    del payload["version"]
+    f.write_text(json.dumps(payload))
+    assert one_line_error(capsys, "enumerate", "--m", "4", "--n", "5",
+                          "--work-dir", str(work)) == 2
+
+
 def test_canon_idempotent(capsys, fx):
     code, out = run(capsys, "canon", fx("fig3_a"))
     assert code == 0

@@ -1,6 +1,8 @@
 """Enumeration engine: unit pieces plus brute-force class-count equality."""
 
 import itertools
+import json
+import random
 
 import pytest
 
@@ -27,7 +29,8 @@ def test_compatibility_and_cliques_give_exactly_the_valid_rows():
     # every size-n clique must be a legal K3,3-free extension row, and
     # every legal extension row must appear as a clique
     for parent in itertools.islice(all_rectangles(2, 5), 40):
-        children = {c.rows[-1] for c in generate.extend_class(parent)}
+        g = generate.compatibility_graph(parent, generate.candidates(parent))
+        children = {generate.clique_row(c, 5) for c in generate.cliques_of_size(g, 5)}
         direct = set()
         for p in itertools.permutations(range(5)):
             if all(p[c] != r[c] for r in parent.rows for c in range(5)):
@@ -66,15 +69,72 @@ def test_engine_matches_brute_force_classification(n):
 def test_double_count_error_is_raised_on_corruption(tmp_path, monkeypatch):
     # corrupt a stored stabilizer order; the resumed run must detect it
     generate.classify_column(5, 2, out_dir=tmp_path)
-    import json
-
     f = tmp_path / "level_2x5.json"
     payload = json.loads(f.read_text())
+    assert payload["version"] == generate.CHECKPOINT_VERSION
     for cls in payload["classes"]:
         cls["stab_order"] //= 2
     f.write_text(json.dumps(payload))
     with pytest.raises(generate.DoubleCountError):
         generate.classify_column(5, 3, out_dir=tmp_path)
+
+
+@pytest.mark.parametrize("version", [None, 1, generate.CHECKPOINT_VERSION + 1])
+def test_checkpoint_of_another_version_is_rejected(tmp_path, version):
+    generate.classify_column(5, 3, out_dir=tmp_path)
+    f = tmp_path / "level_3x5.json"
+    payload = json.loads(f.read_text())
+    if version is None:  # the unversioned layout: no version, no isotopy counts
+        del payload["version"]
+        for cls in payload["classes"]:
+            del cls["iso_classes"]
+    else:
+        payload["version"] = version
+    f.write_text(json.dumps(payload))
+    with pytest.raises(generate.CheckpointError, match="version"):
+        generate.classify_column(5, 4, out_dir=tmp_path)
+
+
+def test_checkpoint_of_another_shape_is_rejected(tmp_path):
+    generate.classify_column(5, 2, out_dir=tmp_path)
+    # a 2x5 level stored under the name of the 2x6 level
+    (tmp_path / "level_2x6.json").write_text((tmp_path / "level_2x5.json").read_text())
+    with pytest.raises(generate.CheckpointError, match="expected 2x6"):
+        generate.classify_column(6, 3, out_dir=tmp_path)
+
+
+def _unreduced_children(parent_rows, n):
+    """Canonize the child of every clique, with no stabilizer reduction."""
+    parent = LatinRectangle(parent_rows)
+    g = generate.compatibility_graph(parent, generate.candidates(parent))
+    cliques = generate.cliques_of_size(g, n)
+    children = {}
+    for clique in cliques:
+        row = [0] * n
+        for c, l in clique:
+            row[c] = l
+        stab = canon.canonical_with_stabilizer(LatinRectangle(parent_rows + (tuple(row),)))
+        children.setdefault(stab.form.rows, (stab.order, stab.isotopy_classes))
+    return len(cliques), children
+
+
+@pytest.mark.parametrize("m, n, sample", [(3, 6, None), (4, 7, None), (4, 8, 12)])
+def test_orbit_reduction_keeps_every_child_class(m, n, sample):
+    reps = generate.classify_column(n, m)[m].representatives
+    if sample is not None:
+        reps = random.Random(20260826).sample(reps, sample)
+    canon_calls = raw_total = 0
+    for rep in reps:
+        raw, children = generate._process_parent((rep.rows, n))
+        assert (raw, children) == _unreduced_children(rep.rows, n)
+        stab = canon.canonical_with_stabilizer(rep)
+        assert len(stab.elements) == stab.order
+        g = generate.compatibility_graph(rep, generate.candidates(rep))
+        rows = [generate.clique_row(c, n) for c in generate.cliques_of_size(g, n)]
+        canon_calls += len(generate._orbit_representatives(rows, stab.elements))
+        raw_total += raw
+    # the reduction did remove work on these parents
+    assert canon_calls < raw_total
 
 
 def test_checkpoint_resume_equivalence(tmp_path):
