@@ -14,25 +14,8 @@ import argparse
 import itertools
 import sys
 
-from k33free.core import is_orthogonal, linear_square
+from k33free.core import is_orthogonal, linear_square, slope_pair_orbit
 from k33free.pattern import find_induced_ktt
-
-
-def orbit(pair, p):
-    inv = {a: pow(a, p - 2, p) for a in range(1, p)}
-    seen = {pair}
-    stack = [pair]
-    while stack:
-        s, t = sorted(stack.pop())
-        nxt = [frozenset(((s * b) % p, (t * b) % p)) for b in range(1, p)]
-        nxt.append(frozenset((inv[s], inv[t])))
-        nxt.append(frozenset(((-s) % p, (t - s) % p)))
-        nxt.append(frozenset(((-t) % p, (s - t) % p)))
-        for q in nxt:
-            if len(q) == 2 and 0 not in q and q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return frozenset(seen)
 
 
 def main() -> int:
@@ -48,7 +31,7 @@ def main() -> int:
         assert is_orthogonal(*pair)
         verdict[frozenset((s, t))] = not find_induced_ktt(pair, args.t)
 
-    orbits = {orbit(key, p) for key in verdict}
+    orbits = {slope_pair_orbit(key, p) for key in verdict}
     print(f"GF({p}): {len(verdict)} slope pairs, {len(orbits)} classes")
     for ob in sorted(orbits, key=len):
         verdicts = {verdict[k] for k in ob}

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial
 from typing import NamedTuple
 
@@ -48,15 +47,6 @@ Level = str  # 'main' | 'isotopy'
 
 #: stop materializing stabilizer elements beyond this many (order stays exact)
 ELEMENT_CAP = 100_000
-
-
-@dataclass
-class SymmetryGroup:
-    """Stabilizer of a rectangle under isotopisms or paratopisms."""
-
-    kind: str  # 'autotopism' | 'paratopism'
-    order: int
-    elements: list[Paratopism]  # all elements (possibly truncated, see order)
 
 
 def allowed_group_order(m: int, n: int, level: Level = "main") -> int:
@@ -305,18 +295,17 @@ def canonical_with_stabilizer(s: LatinRectangle, level: Level = "main") -> Stabi
     return Stabilized(canon, count, [g0_inv.compose(g) for g in maps], iso)
 
 
-def symmetry_group(s: LatinRectangle, kind: str = "autotopism") -> SymmetryGroup:
+def symmetry_group(s: LatinRectangle, kind: str = "autotopism") -> Stabilized:
     """Full stabilizer of the rectangle, with exact order.
 
     kind 'autotopism' restricts to pure isotopisms; 'paratopism' allows the
     shape-preserving conjugations as well.
     """
     level = "isotopy" if kind == "autotopism" else "main"
-    stab = canonical_with_stabilizer(s, level)
-    return SymmetryGroup(kind=kind, order=stab.order, elements=stab.elements)
+    return canonical_with_stabilizer(s, level)
 
 
-def cell_orbits(group: SymmetryGroup, s: LatinRectangle) -> list[set[tuple[int, int]]]:
+def cell_orbits(group: Stabilized, s: LatinRectangle) -> list[set[tuple[int, int]]]:
     """Orbit partition of the cells of s under the stabilizer elements."""
     m, n = s.m, s.n
     parent: dict[tuple[int, int], tuple[int, int]] = {

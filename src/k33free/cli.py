@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, canon, fixtures, generate, spectral, tables
+from . import __version__, canon, generate, spectral, tables
 from .combine import (
     SwitchingMatrix,
     search_k33_free_combination,
@@ -91,9 +91,20 @@ def cmd_check(args, report: Report) -> int:
     return 0
 
 
+def _level_fields(column: dict[int, generate.ClassificationResult]) -> list[dict]:
+    """The manifest entry of each level of a census column."""
+    return [
+        {"m": m, "n": res.n, "raw_extensions": res.raw_extensions,
+         "seconds": round(res.seconds, 3)}
+        for m, res in sorted(column.items())
+    ]
+
+
 def cmd_enumerate(args, report: Report) -> int:
-    res = generate.classify_all(args.m, args.n, jobs=args.jobs,
-                                out_dir=args.work_dir)
+    column = generate.classify_column(args.n, args.m, jobs=args.jobs,
+                                      out_dir=args.work_dir)
+    res = column[args.m]
+    report.data["levels"] = _level_fields(column)
     report.say(
         f"{args.m}x{args.n}: {res.main_class_count} main classes, "
         f"{res.isotopy_class_count} isotopy classes, "
@@ -122,6 +133,7 @@ def cmd_census(args, report: Report) -> int:
         col = generate.classify_column(n, n, jobs=args.jobs,
                                        out_dir=args.work_dir,
                                        progress=args.progress)
+        report.data.setdefault("levels", []).extend(_level_fields(col))
         for m in range(3, n + 1):
             res = col[m]
             exp = tables.expected(m, n)
@@ -222,9 +234,12 @@ def _parse_function(path: str, s: LatinRectangle) -> spectral.CellFunction:
             continue
         try:
             r, c, v = line.split()
-            values[(int(r), int(c))] = Fraction(v)
+            r, c = int(r), int(c)
+            values[(r, c)] = Fraction(v)
         except ValueError as exc:
             raise LatinError(f"{path}:{ln}: bad function line {line!r}") from exc
+        if not (0 <= r < s.m and 0 <= c < s.n):
+            raise LatinError(f"{path}:{ln}: cell ({r}, {c}) is outside the {s.m}x{s.n} square")
     return spectral.CellFunction(s, values)
 
 

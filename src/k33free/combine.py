@@ -121,7 +121,6 @@ def build_system(patterns: Iterable[BlockPattern], n: int) -> Gf2System:
 @dataclass
 class SearchHit:
     index: int
-    pair: tuple[LatinRectangle, LatinRectangle]
     switching: SwitchingMatrix
     square: LatinRectangle
     solution_count: int
@@ -161,7 +160,7 @@ def search_k33_free_combination(
                     f"pair {idx}: solved system but combination is not K3,3-free"
                 )
             hits.append(
-                SearchHit(idx, (a0, a1), s, square, space.count, space.dimension)
+                SearchHit(idx, s, square, space.count, space.dimension)
             )
         except LatinError as exc:
             log.warning("pair %d: %s", idx, exc)

@@ -8,7 +8,7 @@ A latin rectangle is stored as an immutable m-by-n grid of letters in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -115,13 +115,6 @@ class Paratopism:
     gamma: tuple[int, ...]
     lam: tuple[int, ...]
     conj: tuple[int, int, int] = CONJ_ID
-
-    @staticmethod
-    def identity(m: int, n: int) -> "Paratopism":
-        return Paratopism(tuple(range(m)), tuple(range(n)), tuple(range(n)))
-
-    def is_isotopism(self) -> bool:
-        return self.conj == CONJ_ID
 
     def inverse(self) -> "Paratopism":
         sigma = self.conj
@@ -234,6 +227,29 @@ def linear_square(n: int, alpha: int, beta: int) -> LatinRectangle:
             tuple((alpha * r + beta * c) % n for c in range(n)) for r in range(n)
         )
     )
+
+
+def slope_pair_orbit(pair: frozenset[int], p: int) -> frozenset[frozenset[int]]:
+    """Equivalence class of the slope pair {s, t} of squares r + s*c over GF(p).
+
+    Closes the pair under scaling both slopes by a unit, inverting both
+    (transposing the squares) and exchanging the rows with the letters of
+    either square; pairs with a zero or repeated slope are dropped.
+    """
+    inv = {a: pow(a, p - 2, p) for a in range(1, p)}
+    seen = {pair}
+    stack = [pair]
+    while stack:
+        s, t = sorted(stack.pop())
+        images = [frozenset(((s * b) % p, (t * b) % p)) for b in range(1, p)]
+        images.append(frozenset((inv[s], inv[t])))
+        images.append(frozenset(((-s) % p, (t - s) % p)))
+        images.append(frozenset(((-t) % p, (s - t) % p)))
+        for q in images:
+            if len(q) == 2 and 0 not in q and q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return frozenset(seen)
 
 
 def group_table(spec: str) -> LatinRectangle:
@@ -355,9 +371,9 @@ def parse(text: str) -> LatinRectangle:
 
 
 def parse_catalog(text: str) -> list[LatinRectangle]:
-    """Parse blank-line separated rectangle records."""
-    records = [blk for blk in text.split("\n\n") if blk.strip()]
-    return [parse(blk) for blk in records]
+    """Parse rectangle records separated by blank or whitespace-only lines."""
+    groups = itertools.groupby(text.splitlines(), key=lambda ln: bool(ln.strip()))
+    return [parse("\n".join(block)) for filled, block in groups if filled]
 
 
 def serialize_catalog(items: Iterable[LatinRectangle]) -> str:

@@ -1,44 +1,25 @@
 """Bundled reference squares and rectangles.
 
 Text files in the fixtures/ package directory use the core serialization
-format; switching matrices are bare 0/1 rows; catalogs are squares
-separated by blank lines, consumed pairwise.
+format; switching matrices are bare 0/1 rows.
 """
 
 from __future__ import annotations
 
-import hashlib
 from importlib import resources
 
-from .core import LatinRectangle, parse, parse_catalog
+from .core import LatinRectangle, parse
 
 
 def _read(name: str) -> str:
     return (resources.files("k33free") / "fixtures" / name).read_text()
 
 
-def names() -> list[str]:
-    root = resources.files("k33free") / "fixtures"
-    return sorted(p.name for p in root.iterdir() if p.name.endswith(".txt"))
-
-
 def load(name: str) -> LatinRectangle:
     return parse(_read(f"{name}.txt"))
-
-
-def load_catalog(name: str) -> list[LatinRectangle]:
-    return parse_catalog(_read(f"{name}.txt"))
 
 
 def load_switch(name: str):
     from .combine import SwitchingMatrix
 
     return SwitchingMatrix.parse(_read(f"{name}.txt"))
-
-
-def sha256(name: str) -> str:
-    return hashlib.sha256(_read(name).encode()).hexdigest()
-
-
-def manifest_hashes() -> dict[str, str]:
-    return {name: sha256(name) for name in names()}

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 from multiprocessing import Pool
 from pathlib import Path
@@ -127,16 +127,6 @@ def clique_row(clique: Sequence[Candidate], n: int) -> tuple[int, ...]:
 
 
 @dataclass
-class LevelStats:
-    m: int
-    main_classes: int
-    isotopy_classes: int
-    total_labeled: int
-    raw_extensions: int  # cliques found while extending the previous level
-    seconds: float = 0.0  # the whole level, checkpoint and isotopy counts included
-
-
-@dataclass
 class ClassificationResult:
     m: int
     n: int
@@ -144,7 +134,8 @@ class ClassificationResult:
     main_class_count: int
     isotopy_class_count: int
     total_labeled_count: int
-    levels: dict[int, LevelStats] = field(default_factory=dict)
+    raw_extensions: int  # cliques found while extending the previous level
+    seconds: float = 0.0  # the whole level, checkpoint and isotopy counts included
 
 
 class DoubleCountError(RuntimeError):
@@ -293,7 +284,7 @@ def classify_column(
                 )
         _store_level(out_path, n, m, level_reps, raw)
         results[m] = r = _make_result(m, n, level_reps, raw)
-        r.levels[m].seconds = seconds = time.time() - t0
+        r.seconds = seconds = time.time() - t0
         if progress:
             print(
                 f"  level {m}x{n}: {r.main_class_count} main classes, "
@@ -317,25 +308,15 @@ def _make_result(m: int, n: int, reps: dict[tuple, ClassStats], raw: int) -> Cla
     rep_rects = [LatinRectangle(rows) for rows in sorted(reps)]
     total = _labeled_total(m, n, reps)
     iso = sum(iso for _, iso in reps.values())
-    res = ClassificationResult(
+    return ClassificationResult(
         m=m,
         n=n,
         representatives=rep_rects,
         main_class_count=len(rep_rects),
         isotopy_class_count=iso,
         total_labeled_count=total,
+        raw_extensions=raw,
     )
-    res.levels[m] = LevelStats(m, len(rep_rects), iso, total, raw)
-    return res
-
-
-def classify_all(m: int, n: int, jobs: int = 1, out_dir=None, progress=False) -> ClassificationResult:
-    """Classification for one shape; see classify_column."""
-    column = classify_column(n, m, jobs=jobs, out_dir=out_dir, progress=progress)
-    result = column[m]
-    for mm, res in column.items():
-        result.levels[mm] = res.levels[mm]
-    return result
 
 
 # -- level persistence -------------------------------------------------------

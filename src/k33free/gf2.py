@@ -31,14 +31,6 @@ class Gf2System:
             sum(vector[v] for v in sup) % 2 == rhs for sup, rhs in self.rows
         )
 
-    def dump(self) -> str:
-        """Debug format: one row per line, "i+j+k = b"."""
-        lines = []
-        for sup, rhs in self.rows:
-            lhs = "+".join(str(v) for v in sorted(sup)) or "0"
-            lines.append(f"{lhs} = {rhs}")
-        return "\n".join(lines)
-
 
 @dataclass
 class Gf2SolutionSpace:

@@ -40,9 +40,6 @@ class PatternOccurrence:
         cs = self.cells
         return (frozenset(cs[:3]), frozenset(cs[3:]))
 
-    def cell_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.cells)
-
     def to_json_dict(self) -> dict:
         return {
             "rows": list(self.rows),

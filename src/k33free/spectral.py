@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .core import LatinError, LatinRectangle
-from .pattern import PatternOccurrence, find_k33
+from .pattern import PatternOccurrence
 
 Cell = tuple[int, int]
 
@@ -142,13 +142,3 @@ def min_trade_volume(s: LatinRectangle, cap: int = 3) -> int | None:
                 if check_trade(s, t):
                     return vol
     return None
-
-
-def witness_trade(w: PatternOccurrence) -> Trade:
-    plus, minus = w.parts
-    return Trade(frozenset(plus), frozenset(minus))
-
-
-def has_volume3_trade(s: LatinRectangle) -> bool:
-    """Fast equivalent of min_trade_volume(s, 3) == 3."""
-    return bool(find_k33(s))

@@ -1,10 +1,8 @@
 """Reference census values for K3,3-free latin rectangles.
 
-MAIN_ISO holds main-class counts with isotopy-class counts where known;
-TOTALS holds the numbers of labeled K3,3-free m-by-n rectangles.  Each
-(m, n) cell carries a cost tier: "fast" cells regenerate in seconds,
-"long" in minutes, "stretch" in days; tiers gate what the census command
-recomputes by default.
+CELLS maps each tabulated shape (m, n) to its main-class count, its
+isotopy-class count and its number of labeled K3,3-free m-by-n
+rectangles, the last two None where unpublished.
 """
 
 from __future__ import annotations
@@ -19,15 +17,6 @@ class CensusCell:
     main: int
     iso: int | None  # isotopy classes; None where unpublished
     total: int | None  # labeled count; None where unpublished
-    tier: str  # "fast" | "long" | "stretch"
-
-
-def _tier(m: int, n: int) -> str:
-    if n <= 8:
-        return "fast"
-    if n == 9:
-        return "long"
-    return "stretch"
 
 
 # (m, n) -> (main, iso-or-None, total-or-None)
@@ -79,7 +68,7 @@ _DATA: dict[tuple[int, int], tuple[int, int | None, int | None]] = {
 
 
 CELLS: dict[tuple[int, int], CensusCell] = {
-    (m, n): CensusCell(m, n, main, iso, total, _tier(m, n))
+    (m, n): CensusCell(m, n, main, iso, total)
     for (m, n), (main, iso, total) in _DATA.items()
 }
 
@@ -87,7 +76,3 @@ CELLS: dict[tuple[int, int], CensusCell] = {
 def expected(m: int, n: int) -> CensusCell | None:
     """The reference cell, if the shape is tabulated (3 <= m <= n)."""
     return CELLS.get((m, n))
-
-
-def column(n: int) -> list[CensusCell]:
-    return [CELLS[(m, n)] for m in range(3, n + 1) if (m, n) in CELLS]

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import NamedTuple
 
 import pytest
 
+from k33free import canon
 from k33free.core import LatinRectangle
+from k33free.pattern import is_k33_free
 
 
 def random_rectangle(rng: random.Random, m: int, n: int) -> LatinRectangle:
@@ -62,6 +65,37 @@ def all_rectangles(m: int, n: int):
                 yield from rec(rows + (p,))
 
     yield from rec(())
+
+
+class FreeRectangles(NamedTuple):
+    labeled: int  # number of K3,3-free labeled rectangles of the shape
+    forms: set  # their main-class canonical forms, as row tuples
+
+
+@pytest.fixture(scope="session")
+def brute_force_oracle() -> dict[tuple[int, int], FreeRectangles]:
+    """The K3,3-free rectangles of every m-by-n shape with 2 <= m <= n <= 5.
+
+    The free m-row rectangles are the free (m-1)-row ones extended by every
+    compatible permutation row, filtered by the pattern scan: a rectangle
+    with a witness keeps it in every extension, so none is missed.  Every
+    free labeled rectangle is canonised.  Built once per session.
+    """
+    oracle = {}
+    for n in range(3, 6):
+        perms = list(itertools.permutations(range(n)))
+        level = [(p,) for p in perms]
+        for m in range(2, n + 1):
+            level = [
+                rows + (p,)
+                for rows in level
+                for p in perms
+                if all(p[c] != r[c] for r in rows for c in range(n))
+                and is_k33_free(LatinRectangle(rows + (p,)))
+            ]
+            forms = {canon.canonical_form(LatinRectangle(rows)).rows for rows in level}
+            oracle[(m, n)] = FreeRectangles(len(level), forms)
+    return oracle
 
 
 def cell_graph_k33_parts(s: LatinRectangle) -> set[frozenset]:

@@ -23,7 +23,7 @@ from k33free.combine import (
     search_k33_free_combination,
     switched_combination,
 )
-from k33free.core import group_table, linear_square, supported_group_specs
+from k33free.core import group_table, linear_square, slope_pair_orbit, supported_group_specs
 from k33free.gf2 import enumerate_solutions, solve
 from k33free.pattern import find_induced_ktt, find_k33, is_k33_free
 
@@ -98,18 +98,15 @@ def test_criterion_04_double_count_validation(census_cols):
             assert census_cols[n][n].main_class_count >= 0
 
 
-def test_criterion_05_brute_force_oracle():
+def test_criterion_05_brute_force_oracle(brute_force_oracle):
     with criterion(5, "engine equals brute force for all shapes with n <= 5"):
         for n in range(3, 6):
             col = generate.classify_column(n, n)
             for m in range(2, n + 1):
-                forms = {
-                    canon.canonical_form(s).rows
-                    for s in all_rectangles(m, n)
-                    if is_k33_free(s)
-                }
-                assert col[m].main_class_count == len(forms), (m, n)
-                assert {r.rows for r in col[m].representatives} == forms
+                oracle = brute_force_oracle[(m, n)]
+                assert col[m].main_class_count == len(oracle.forms), (m, n)
+                assert {r.rows for r in col[m].representatives} == oracle.forms
+                assert col[m].total_labeled_count == oracle.labeled, (m, n)
 
 
 def test_criterion_06_pattern_oracle():
@@ -226,25 +223,7 @@ def test_criterion_10_mols():
         for s, t in itertools.combinations(range(1, 7), 2):
             pair = (linear_square(7, 1, s), linear_square(7, 1, t))
             verdict[frozenset((s, t))] = not find_induced_ktt(pair, 4)
-        inv = {a: pow(a, 5, 7) for a in range(1, 7)}
-
-        def orbit(pair0):
-            seen, stack = {pair0}, [pair0]
-            while stack:
-                s, t = sorted(stack.pop())
-                images = [frozenset(((s * b) % 7, (t * b) % 7)) for b in range(1, 7)]
-                images += [
-                    frozenset((inv[s], inv[t])),
-                    frozenset(((-s) % 7, (t - s) % 7)),
-                    frozenset(((-t) % 7, (s - t) % 7)),
-                ]
-                for q in images:
-                    if len(q) == 2 and 0 not in q and q not in seen:
-                        seen.add(q)
-                        stack.append(q)
-            return frozenset(seen)
-
-        orbits = {orbit(k) for k in verdict}
+        orbits = {slope_pair_orbit(k, 7) for k in verdict}
         assert len(orbits) == 2
         free = [ob for ob in orbits if {verdict[k] for k in ob} == {True}]
         assert len(free) == 1

@@ -64,6 +64,21 @@ def test_census_small_ok(capsys):
     assert code == 0 and "MISMATCH" not in out
 
 
+@pytest.mark.parametrize("argv, shapes", [
+    (("census", "--n-max", "4"), [(m, n) for n in (3, 4) for m in range(1, n + 1)]),
+    (("enumerate", "--m", "4", "--n", "6"), [(m, 6) for m in range(1, 5)]),
+])
+def test_json_manifest_lists_every_level(capsys, argv, shapes):
+    code, out = run(capsys, "--format", "json", *argv)
+    levels = json.loads(out)["levels"]
+    assert code == 0 and [(lv["m"], lv["n"]) for lv in levels] == shapes
+    for lv in levels:
+        assert lv["raw_extensions"] >= 0 and lv["seconds"] >= 0
+    # the second rows of a 2xn level are the derangements of n letters
+    derangements = {3: 2, 4: 9, 6: 265}
+    assert all(lv["raw_extensions"] == derangements[lv["n"]] for lv in levels if lv["m"] == 2)
+
+
 def test_census_gating(capsys):
     assert cli.main(["census", "--n-max", "9"]) == 2
     assert cli.main(["census", "--n-max", "10", "--long"]) == 2
@@ -153,6 +168,14 @@ def test_verify_eigen(capsys, fx, tmp_path):
     code, _ = run(capsys, "verify-eigen", fx("z3"),
                   "--function", str(func), "--theta", "5")
     assert code == 1
+
+
+@pytest.mark.parametrize("line", ["5 0 1", "-1 0 1", "0 3 1"])
+def test_verify_eigen_rejects_cells_outside_the_square(capsys, fx, tmp_path, line):
+    func = tmp_path / "f.txt"
+    func.write_text(f"0 0 1\n{line}\n")
+    assert one_line_error(capsys, "verify-eigen", fx("z3"), "--function", str(func),
+                          "--theta", "-3") == 2
 
 
 def test_min_trade(capsys, fx):

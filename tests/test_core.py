@@ -128,6 +128,25 @@ def test_serialize_roundtrip():
     ]
 
 
+@st.composite
+def rectangles(draw):
+    """An m-by-n latin rectangle: rows of an isotope of the cyclic square."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, n))
+    rho, gamma, lam = (draw(perm_strategy(n)) for _ in range(3))
+    return LatinRectangle(
+        tuple(tuple(lam[(rho[r] + gamma[c]) % n] for c in range(n)) for r in range(m))
+    )
+
+
+@given(st.lists(st.tuples(rectangles(), st.sampled_from(["", " ", "\t"])),
+                min_size=1, max_size=4))
+@settings(max_examples=60)
+def test_catalog_round_trip_with_whitespace_separator_lines(items):
+    text = "".join(serialize(s) + sep + "\n" for s, sep in items)
+    assert [x.rows for x in parse_catalog(text)] == [s.rows for s, _ in items]
+
+
 def test_parse_errors():
     with pytest.raises(LatinError):
         parse("")

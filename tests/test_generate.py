@@ -51,19 +51,13 @@ def test_derangement_numbers():
     assert [generate._derangements(n) for n in range(2, 8)] == [1, 2, 9, 44, 265, 1854]
 
 
-def brute_main_classes(m, n):
-    forms = set()
-    for s in all_rectangles(m, n):
-        if is_k33_free(s):
-            forms.add(canon.canonical_form(s).rows)
-    return len(forms)
-
-
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_engine_matches_brute_force_classification(n):
+def test_engine_matches_brute_force_classification(n, brute_force_oracle):
     col = generate.classify_column(n, n)
     for m in range(2, n + 1):
-        assert col[m].main_class_count == brute_main_classes(m, n), (m, n)
+        oracle = brute_force_oracle[(m, n)]
+        assert col[m].main_class_count == len(oracle.forms), (m, n)
+        assert col[m].total_labeled_count == oracle.labeled, (m, n)
 
 
 def test_double_count_error_is_raised_on_corruption(tmp_path, monkeypatch):

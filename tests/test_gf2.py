@@ -76,9 +76,3 @@ def test_add_row_validation():
         sys.add_row([2], 0)
     with pytest.raises(ValueError):
         sys.add_row([0], 2)
-
-
-def test_dump_format():
-    sys = Gf2System(n_vars=4)
-    sys.add_row([2, 0], 1)
-    assert sys.dump() == "0+2 = 1"

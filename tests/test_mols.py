@@ -2,7 +2,7 @@
 
 import itertools
 
-from k33free.core import is_orthogonal, linear_square
+from k33free.core import is_orthogonal, linear_square, slope_pair_orbit
 from k33free.pattern import find_induced_ktt
 
 GF5_BOLD = frozenset(
@@ -13,22 +13,6 @@ GF5_BOLD = frozenset(
 def slope_pairs(p):
     for s, t in itertools.combinations(range(1, p), 2):
         yield frozenset((s, t)), (linear_square(p, 1, s), linear_square(p, 1, t))
-
-
-def orbit(pair, p):
-    inv = {a: pow(a, p - 2, p) for a in range(1, p)}
-    seen, stack = {pair}, [pair]
-    while stack:
-        s, t = sorted(stack.pop())
-        images = [frozenset(((s * b) % p, (t * b) % p)) for b in range(1, p)]
-        images.append(frozenset((inv[s], inv[t])))
-        images.append(frozenset(((-s) % p, (t - s) % p)))
-        images.append(frozenset(((-t) % p, (s - t) % p)))
-        for q in images:
-            if len(q) == 2 and 0 not in q and q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return frozenset(seen)
 
 
 def test_gf5_displayed_pair_has_k44():
@@ -48,7 +32,7 @@ def test_gf7_two_classes_exactly_one_free():
     verdict = {
         key: not find_induced_ktt(pair, 4) for key, pair in slope_pairs(7)
     }
-    orbits = {orbit(key, 7) for key in verdict}
+    orbits = {slope_pair_orbit(key, 7) for key in verdict}
     assert len(orbits) == 2
     free_classes = 0
     for ob in orbits:

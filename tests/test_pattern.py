@@ -49,7 +49,7 @@ def test_witness_structure():
     for w in wits:
         plus, minus = w.parts
         assert len(plus) == len(minus) == 3
-        assert len(w.cell_set()) == 6
+        assert len(set(w.cells)) == 6
         # the letters really sit where the pattern claims
         for r, c in w.cells:
             assert z3.rows[r][c] in w.letters
