@@ -306,7 +306,11 @@ def symmetry_group(s: LatinRectangle, kind: str = "autotopism") -> Stabilized:
 
 
 def cell_orbits(group: Stabilized, s: LatinRectangle) -> list[set[tuple[int, int]]]:
-    """Orbit partition of the cells of s under the stabilizer elements."""
+    """Orbit partition of the cells of s under the stabilizer elements.
+
+    When the element list was cut at ``ELEMENT_CAP`` (fewer elements than
+    the group order) the partition can be finer than the true orbits.
+    """
     m, n = s.m, s.n
     parent: dict[tuple[int, int], tuple[int, int]] = {
         (r, c): (r, c) for r in range(m) for c in range(n)

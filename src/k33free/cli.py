@@ -77,6 +77,8 @@ class Report:
 
 
 def cmd_check(args, report: Report) -> int:
+    if args.max_witnesses < 0:
+        raise ValueError(f"--max-witnesses must be at least 0, got {args.max_witnesses}")
     s = _read_square(args.file)
     report.hash_input(args.file)
     witnesses = sorted(find_k33(s), key=lambda w: w.cells)
@@ -171,6 +173,7 @@ def cmd_symmetry(args, report: Report) -> int:
     group = canon.symmetry_group(s, args.kind)
     orbits = canon.cell_orbits(group, s)
     sizes = sorted(len(o) for o in orbits)
+    truncated = len(group.elements) < group.order
     report.say(
         f"{args.kind} group order {group.order}; "
         f"{len(orbits)} cell orbit(s) of sizes {sizes}",
@@ -178,7 +181,13 @@ def cmd_symmetry(args, report: Report) -> int:
         cell_orbits=len(orbits),
         orbit_sizes=sizes,
         transitive=len(orbits) == 1,
+        truncated=truncated,
     )
+    if truncated:
+        report.lines.append(
+            f"  truncated: orbits from {len(group.elements)} of {group.order} "
+            "elements; the true orbits may be fewer and larger"
+        )
     return 0
 
 

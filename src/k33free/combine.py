@@ -60,7 +60,7 @@ class SwitchingMatrix:
         return cls(len(rows), rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockPattern:
     """Six-block footprint of a K3,3 witness of the 0-combination."""
 
@@ -99,7 +99,9 @@ def block_patterns(
     orthogonal = is_orthogonal(pair[0], pair[1])
     out = []
     for w in find_k33(zero_comb):
-        blocks = frozenset((i // 2, j // 2) for i, j in w.cells)
+        # copied from a set, the frozenset gets a table sized to its six
+        # members, a third smaller than one grown from an iterator
+        blocks = frozenset({(i // 2, j // 2) for i, j in w.cells})
         if orthogonal and len(blocks) != 6:
             raise LatinError(
                 f"orthogonal pair produced a {len(blocks)}-block witness"

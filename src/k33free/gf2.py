@@ -19,7 +19,7 @@ class Gf2System:
 
     def add_row(self, support: Iterable[int], rhs: int) -> None:
         sup = frozenset(support)
-        if any(v < 0 or v >= self.n_vars for v in sup):
+        if sup and (min(sup) < 0 or max(sup) >= self.n_vars):
             raise ValueError("variable index out of range")
         if rhs not in (0, 1):
             raise ValueError("rhs must be a bit")

@@ -8,7 +8,11 @@ three letters, arranged as
     B  C  .
 
 Role-labelled, the cells are (r1,c2,l3), (r2,c3,l1), (r3,c1,l2) in one part
-and (r2,c1,l3), (r3,c2,l1), (r1,c3,l2) in the other.
+and (r2,c1,l3), (r3,c2,l1), (r1,c3,l2) in the other.  Permuting the three
+role indices relabels the same witness (odd permutations swap the parts);
+of these six labellings the canonical one is the least, which is the one
+with r1 < r2 < r3.  The scan reports each witness once, from its least
+column, already in that labelling.
 """
 
 from __future__ import annotations
@@ -18,12 +22,10 @@ from dataclasses import dataclass
 
 from .core import LatinRectangle
 
-_SYMS = tuple(itertools.permutations((0, 1, 2)))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternOccurrence:
-    """A six-cell K3,3 witness, stored with canonical role labelling."""
+    """A six-cell K3,3 witness in its canonical role labelling (rows ascending)."""
 
     rows: tuple[int, int, int]
     cols: tuple[int, int, int]
@@ -49,24 +51,13 @@ class PatternOccurrence:
         }
 
 
-def _canonical_occurrence(rows, cols, letters) -> PatternOccurrence:
-    # the six relabellings act as S3 simultaneously on the three index triples;
-    # odd permutations swap the two parts
-    best = None
-    for p in _SYMS:
-        cand = (
-            tuple(rows[i] for i in p),
-            tuple(cols[i] for i in p),
-            tuple(letters[i] for i in p),
-        )
-        if best is None or cand < best:
-            best = cand
-    return PatternOccurrence(*best)
-
-
 def find_k33(s: LatinRectangle) -> set[PatternOccurrence]:
-    """All K3,3 witnesses of the rectangle, duplicate-free."""
-    return _scan(s, stop_first=False)
+    """All K3,3 witnesses of the rectangle, duplicate-free.
+
+    Each witness is found once, from its least column, and labelled with
+    its rows in ascending order.
+    """
+    return set(_scan(s, stop_first=False))
 
 
 def is_k33_free(s: LatinRectangle) -> bool:
@@ -74,33 +65,41 @@ def is_k33_free(s: LatinRectangle) -> bool:
     return not _scan(s, stop_first=True)
 
 
-def _scan(s: LatinRectangle, stop_first: bool) -> set[PatternOccurrence]:
+def _scan(s: LatinRectangle, stop_first: bool) -> list[PatternOccurrence]:
+    """Each witness once, found from its least column c1.
+
+    Row r1 holds at columns c2, c3 > c1 the letters that rows r2 < r3 hold
+    at column c1, so for each (c1, r1) only the rows whose letter sits right
+    of c1 in row r1 are paired up.
+    """
     m, n = s.m, s.n
-    found: set[PatternOccurrence] = set()
-    if m < 3:
-        return found
+    found: list[PatternOccurrence] = []
     grid = s.rows
     pos = s.column_positions()
     for c in range(n):
-        for rp in range(m):
-            lp = grid[rp][c]
-            for rq in range(rp + 1, m):
-                lq = grid[rq][c]
-                for t in range(m):
-                    if t == rp or t == rq:
+        col = [row[c] for row in grid]
+        for t in range(m):
+            pt = pos[t]
+            # row t holds its own letter at c, so it is never among these
+            later = [(r, l, pt[l]) for r, l in enumerate(col) if pt[l] > c]
+            for i, (rp, lp, cp) in enumerate(later):
+                gp = grid[rp]
+                for rq, lq, cq in later[i + 1:]:
+                    lx = gp[cq]
+                    if lx != grid[rq][cp]:
                         continue
-                    cp = pos[t][lp]
-                    cq = pos[t][lq]
-                    lx = grid[rp][cq]
-                    if lx == grid[rq][cp]:
-                        # roles: r1=t r2=rp r3=rq, c1=c c2=cp c3=cq,
-                        # l1=lx l2=lq l3=lp
-                        occ = _canonical_occurrence(
-                            (t, rp, rq), (c, cp, cq), (lx, lq, lp)
-                        )
-                        found.add(occ)
-                        if stop_first:
-                            return found
+                    # roles: r1=t r2=rp r3=rq, c1=c c2=cp c3=cq,
+                    # l1=lx l2=lq l3=lp; relabel so that the rows ascend
+                    # (rp < rq already, so only the place of t decides)
+                    if t < rp:
+                        occ = PatternOccurrence((t, rp, rq), (c, cp, cq), (lx, lq, lp))
+                    elif t < rq:
+                        occ = PatternOccurrence((rp, t, rq), (cp, c, cq), (lq, lx, lp))
+                    else:
+                        occ = PatternOccurrence((rp, rq, t), (cp, cq, c), (lq, lp, lx))
+                    found.append(occ)
+                    if stop_first:
+                        return found
     return found
 
 

@@ -120,8 +120,8 @@ def min_trade_volume(s: LatinRectangle, cap: int = 3) -> int | None:
     """
     if not s.is_square:
         raise LatinError("trades are searched in squares")
-    if cap > MAX_TRADE_CAP:
-        raise LatinError(f"cap {cap} exceeds the search limit {MAX_TRADE_CAP}")
+    if not 1 <= cap <= MAX_TRADE_CAP:
+        raise LatinError(f"cap {cap} is outside the search range 1..{MAX_TRADE_CAP}")
     n = s.n
     all_cells = [(r, c) for r in range(n) for c in range(n)]
     for vol in range(1, cap + 1):

@@ -103,6 +103,21 @@ def test_census_and_enumerate_reject_bad_sizes(capsys, argv):
     assert one_line_error(capsys, *argv) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--max-witnesses", "-1"),
+    ("min-trade", "--cap", "0"),
+    ("min-trade", "--cap", "-1"),
+])
+def test_out_of_range_counts_are_input_errors(capsys, fx, argv):
+    command, *flags = argv
+    assert one_line_error(capsys, command, fx("z3"), *flags) == 2
+
+
+def test_check_max_witnesses_zero_lists_none(capsys, fx):
+    code, out = run(capsys, "check", fx("z3"), "--max-witnesses", "0")
+    assert code == 0 and "witness rows" not in out and "... 3 more" in out
+
+
 def test_stale_checkpoint_is_an_input_error(capsys, tmp_path):
     work = tmp_path / "work"
     assert cli.main(["enumerate", "--m", "3", "--n", "5", "--work-dir", str(work)]) == 0
@@ -128,6 +143,19 @@ def test_symmetry(capsys, fx):
                     "autotopism", fx("fig3_a"))
     data = json.loads(out)
     assert data["order"] == 64 and data["transitive"] is True
+    assert data["truncated"] is False
+
+
+def test_symmetry_marks_truncated_orbits(capsys, fx, monkeypatch):
+    from k33free import canon
+
+    monkeypatch.setattr(canon, "ELEMENT_CAP", 2)
+    code, out = run(capsys, "--format", "json", "symmetry", fx("fig3_a"))
+    data = json.loads(out)
+    assert code == 0 and data["order"] == 64 and data["truncated"] is True
+    assert data["cell_orbits"] > 1  # the full group is transitive
+    code, out = run(capsys, "symmetry", fx("fig3_a"))
+    assert code == 0 and out.count("truncated") == 1
 
 
 def test_combine_and_switch(capsys, fx, tmp_path):

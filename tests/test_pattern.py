@@ -1,5 +1,6 @@
 """Witness search against graph-level oracles and invariance laws."""
 
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_rectangles, cell_graph_k33_parts, random_rectangle
+from k33free import fixtures
+from k33free.combine import SwitchingMatrix, switched_combination
 from k33free.core import (
     LatinRectangle,
     Paratopism,
@@ -16,11 +19,47 @@ from k33free.core import (
     shape_preserving_conjs,
     supported_group_specs,
 )
-from k33free.pattern import find_induced_ktt, find_k33, is_k33_free
+from k33free.pattern import _scan, find_induced_ktt, find_k33, is_k33_free
 
 
 def parts_of(s):
     return {frozenset(w.parts) for w in find_k33(s)}
+
+
+def brute_force_labelled(s):
+    """(rows, cols, letters) of every witness, least of its six labellings.
+
+    Tries every ordered row triple and column triple against the role
+    pattern (r1,c2)=(r2,c1)=l3, (r2,c3)=(r3,c2)=l1, (r3,c1)=(r1,c3)=l2 and
+    keeps, per witness, the least of the six simultaneous S3 relabellings.
+    """
+    g = s.rows
+    out = set()
+    for rows in itertools.permutations(range(s.m), 3):
+        r1, r2, r3 = rows
+        for c1, c2 in itertools.permutations(range(s.n), 2):
+            l3 = g[r1][c2]
+            if g[r2][c1] != l3:
+                continue
+            for c3 in range(s.n):
+                if c3 in (c1, c2):
+                    continue
+                l1, l2 = g[r2][c3], g[r3][c1]
+                if g[r3][c2] != l1 or g[r1][c3] != l2:
+                    continue
+                cols, letters = (c1, c2, c3), (l1, l2, l3)
+                out.add(min(
+                    tuple(tuple(t[i] for i in p) for t in (rows, cols, letters))
+                    for p in itertools.permutations(range(3))
+                ))
+    return out
+
+
+def assert_labelled_once(s):
+    """find_k33 gives the brute-force labelling, each witness reported once."""
+    found = find_k33(s)
+    assert {(w.rows, w.cols, w.letters) for w in found} == brute_force_labelled(s)
+    assert len(_scan(s, stop_first=False)) == len(found)
 
 
 def test_exhaustive_3x3_matches_graph_oracle():
@@ -31,6 +70,26 @@ def test_exhaustive_3x3_matches_graph_oracle():
 def test_exhaustive_3x4_matches_graph_oracle():
     for s in all_rectangles(3, 4):
         assert parts_of(s) == cell_graph_k33_parts(s)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 4)])
+def test_exhaustive_labelling_matches_brute_force(shape):
+    for s in all_rectangles(*shape):
+        assert_labelled_once(s)
+
+
+@given(st.integers(3, 6), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_random_labelling_matches_brute_force(n, hyp_rng):
+    rng = random.Random(hyp_rng.getrandbits(32))
+    assert_labelled_once(random_rectangle(rng, rng.randint(1, n), n))
+
+
+@pytest.mark.parametrize("fig", ["fig2", "fig5"])
+def test_zero_combination_labelling_matches_brute_force(fig):
+    a0, a1 = fixtures.load(f"{fig}_a0"), fixtures.load(f"{fig}_a1")
+    zero = switched_combination(a0, a1, SwitchingMatrix.zeros(a0.n))
+    assert_labelled_once(zero)
 
 
 def test_random_rectangles_match_graph_oracle():

@@ -67,8 +67,9 @@ def test_min_trade_volume_small_caps():
     z3 = fixtures.load("z3")
     assert spectral.min_trade_volume(z3, cap=2) is None
     assert spectral.min_trade_volume(z3, cap=3) == 3
-    with pytest.raises(LatinError):
-        spectral.min_trade_volume(z3, cap=10)
+    for cap in (10, 0, -1):
+        with pytest.raises(LatinError):
+            spectral.min_trade_volume(z3, cap=cap)
 
 
 def test_free_square_has_no_volume_three_trade():
