@@ -7,7 +7,9 @@ conjugations at main level) picked by three group-invariant rules in turn
 
 1. Rows 0 and 1 come from a (conjugation, row r0, row r1) triple of the
    distinguished cycle type: the permutation linking r0 and r1 has the
-   fewest conjugating maps, then the lex-least one-line form.
+   fewest conjugating maps, then the least cycle type (ascending cycle
+   lengths, compared as tuples), which orders triples as the lex-least
+   one-line forms of the types do.
 2. Only the triples of least row-cycle invariant are expanded: the sorted
    multiset, over the other rows r, of (cycle type of (r0, r), cycle type
    of (r1, r)), after McKay, Meynert & Myrvold (J. Combin. Des. 2007).
@@ -96,51 +98,52 @@ class _Search:
     """Minimization over one shape; collects every assignment achieving it."""
 
     def __init__(self, s: LatinRectangle, level: Level):
-        self.s = s
         self.m, self.n = s.m, s.n
         if level == "isotopy":
             self.conjs = (CONJ_ID,)
         else:
             self.conjs = shape_preserving_conjs(self.m, self.n)
-        self.images = [(sigma, conjugate(s, sigma).rows) for sigma in self.conjs]
+        # per conjugate: its grid and pos[r][l], the column of letter l in row r
+        self.images = []
+        for sigma in self.conjs:
+            t = conjugate(s, sigma)
+            self.images.append((sigma, t.rows, t.column_positions()))
 
-    def run(self) -> tuple[LatinRectangle, int, list[Paratopism], int]:
-        """(form, stabilizer order, minimal leaves as maps, isotopy classes)."""
+    def run(self) -> tuple[LatinRectangle, int, int]:
+        """(form, stabilizer order, isotopy classes).
+
+        The minimal leaves, ``(sigma, row_order, col2pos)`` and at most
+        ``ELEMENT_CAP`` of them, are left in ``self.leaves``, to be read
+        once (for a single row it is an iterator).
+        """
         m, n = self.m, self.n
         if m == 1:
             return self._run_single_row()
 
-        # gather (sigma, grid, r0, r1, pi, cycles) for the distinguished
+        # gather (sigma, grid, pos, r0, r1, cycles) for the distinguished
         # cycle type: fewest conjugating maps first (keeps the expansion
-        # small for squares rich in short cycles), then lex-least row form;
+        # small for squares rich in short cycles), then least cycle type;
         # types_of[sigma][a][b] is the cycle type linking rows a and b
         best_key: tuple | None = None
         group: list[tuple] = []
         types_of = {}
-        for sigma, grid in self.images:
-            inv_rows = []
-            for row in grid:
-                inv = [0] * n
-                for c, l in enumerate(row):
-                    inv[l] = c
-                inv_rows.append(inv)
+        for sigma, grid, pos in self.images:
             types_of[sigma] = types = [[()] * m for _ in range(m)]
             for r0 in range(m):
-                pos0 = inv_rows[r0]
+                pos0 = pos[r0]
                 for r1 in range(m):
                     if r1 == r0:
                         continue
-                    row1 = grid[r1]
-                    pi = tuple(pos0[row1[c]] for c in range(n))
-                    cycles = _cycles_of(pi)
+                    cycles = _cycles_of([pos0[l] for l in grid[r1]])
                     lengths = tuple(sorted(len(cy) for cy in cycles))
                     types[r0][r1] = lengths
-                    key = (_centralizer_order(lengths), _type_row(lengths))
+                    key = (_centralizer_order(lengths), lengths)
+                    entry = (sigma, grid, pos, r0, r1, cycles)
                     if best_key is None or key < best_key:
                         best_key = key
-                        group = [(sigma, grid, r0, r1, pi, cycles)]
+                        group = [entry]
                     elif key == best_key:
-                        group.append((sigma, grid, r0, r1, pi, cycles))
+                        group.append(entry)
         assert best_key is not None
 
         # row-cycle refinement: keep the triples of least invariant
@@ -149,7 +152,7 @@ class _Search:
                 (types_of[sg][r0][r], types_of[sg][r1][r])
                 for r in range(m) if r not in (r0, r1)
             )
-            for sg, _, r0, r1, _, _ in group
+            for sg, _, _, r0, r1, _ in group
         ]
         least = min(invariants)
 
@@ -162,37 +165,31 @@ class _Search:
                 self._expand(*entry)
 
         assert self.best_tail is not None
-        canon = LatinRectangle((tuple(range(n)), best_key[1], *self.best_tail))
-        maps = [self._leaf_to_paratopism(leaf) for leaf in self.leaves]
+        canon = LatinRectangle((tuple(range(n)), _type_row(best_key[1]), *self.best_tail))
         # minimal leaves are a stabilizer coset, so their conjugations are a
         # coset of its image in the conjugation group: iso = |conjs| / |image|
         iso = len(self.conjs) // len(self.leaf_conjs)
-        return canon, self.leaf_count, maps, iso
+        return canon, self.leaf_count, iso
 
     # -- expansion of one (sigma, r0, r1) triple ---------------------------
 
-    def _expand(self, sigma, grid, r0, r1, pi, cycles):
+    def _expand(self, sigma, grid, pos, r0, r1, cycles):
         m, n = self.m, self.n
         by_len: dict[int, list[list[int]]] = {}
         for cy in cycles:
             by_len.setdefault(len(cy), []).append(cy)
         lengths = sorted(len(cy) for cy in cycles)
 
-        pos0 = [0] * n
-        for c, l in enumerate(grid[r0]):
-            pos0[l] = c
+        pos0 = pos[r0]
         other_rows = [r for r in range(m) if r != r0 and r != r1]
-        pis = {}
-        for r in other_rows:
-            row = grid[r]
-            pis[r] = [pos0[row[c]] for c in range(n)]
+        pis = {r: [pos0[l] for l in grid[r]] for r in other_rows}
 
         col2pos = [-1] * n
         used = {ell: [False] * len(cys) for ell, cys in by_len.items()}
 
         def assign_block(bi: int, p: int):
             if bi == len(lengths):
-                self._evaluate(sigma, grid, r0, r1, pis, other_rows, col2pos)
+                self._evaluate(sigma, r0, r1, pis, other_rows, col2pos)
                 return
             ell = lengths[bi]
             cys = by_len[ell]
@@ -213,7 +210,7 @@ class _Search:
 
         assign_block(0, 0)
 
-    def _evaluate(self, sigma, grid, r0, r1, pis, other_rows, col2pos):
+    def _evaluate(self, sigma, r0, r1, pis, other_rows, col2pos):
         pos2col = [0] * self.n
         for c, p in enumerate(col2pos):
             pos2col[p] = c
@@ -223,10 +220,10 @@ class _Search:
         tail = [img for img, _ in imgs]
         if self.best_tail is None or tail < self.best_tail:
             self.best_tail = tail
-            self.leaf_count = 1
-            self.leaves = [(sigma, [r0, r1] + [r for _, r in imgs], tuple(col2pos))]
-            self.leaf_conjs = {sigma}
-        elif tail == self.best_tail:
+            self.leaf_count = 0
+            self.leaves = []
+            self.leaf_conjs = set()
+        if tail == self.best_tail:
             self.leaf_count += 1
             self.leaf_conjs.add(sigma)
             if self.leaf_count <= ELEMENT_CAP:
@@ -234,39 +231,21 @@ class _Search:
                     (sigma, [r0, r1] + [r for _, r in imgs], tuple(col2pos))
                 )
 
-    def _leaf_to_paratopism(self, leaf) -> Paratopism:
-        sigma, row_order, col2pos = leaf
-        m, n = self.m, self.n
-        grid = dict(self.images)[sigma]
-        rho = [0] * m
-        for position, r in enumerate(row_order):
-            rho[r] = position
-        pos0 = [0] * n
-        for c, l in enumerate(grid[row_order[0]]):
-            pos0[l] = c
-        lam = tuple(col2pos[pos0[l]] for l in range(n))
-        return Paratopism(tuple(rho), tuple(col2pos), lam, sigma)
-
     # -- degenerate single-row shape ---------------------------------------
 
     def _run_single_row(self):
-        # any single row normalizes to the identity; the stabilizer is the
-        # full gamma choice (lambda then forced), times the conjugations, so
-        # the main class is one isotopy class
+        # any single row normalizes to the identity, so every column map,
+        # under every conjugation, is a minimal leaf (its letter map is
+        # forced) and the main class is one isotopy class; the leaves are
+        # produced lazily, as canonical_form never reads them
         n = self.n
-        canon = LatinRectangle((tuple(range(n)),))
-        order = factorial(n) * len(self.conjs)
-        maps: list[Paratopism] = []
-        if n <= 6:
-            for sigma in self.conjs:
-                grid = conjugate(self.s, sigma).rows[0]
-                inv = [0] * n
-                for c, l in enumerate(grid):
-                    inv[l] = c
-                for gamma in itertools.permutations(range(n)):
-                    lam = tuple(gamma[inv[l]] for l in range(n))
-                    maps.append(Paratopism((0,), tuple(gamma), lam, sigma))
-        return canon, order, maps, 1
+        leaves = (
+            (sigma, [0], gamma)
+            for sigma in self.conjs
+            for gamma in itertools.permutations(range(n))
+        )
+        self.leaves = itertools.islice(leaves, ELEMENT_CAP)
+        return LatinRectangle((tuple(range(n)),)), factorial(n) * len(self.conjs), 1
 
 
 class Stabilized(NamedTuple):
@@ -290,8 +269,21 @@ def canonical_with_stabilizer(s: LatinRectangle, level: Level = "main") -> Stabi
     component is the identity when ``level == 'isotopy'``.  The isotopy
     class count is exact even when the element list is truncated.
     """
-    canon, count, maps, iso = _Search(s, level).run()
-    g0_inv = maps[0].inverse() if maps else None
+    search = _Search(s, level)
+    canon, count, iso = search.run()
+    grids = {sigma: grid for sigma, grid, _ in search.images}
+    maps = []
+    for sigma, row_order, col2pos in search.leaves:
+        rho = [0] * len(row_order)
+        for position, r in enumerate(row_order):
+            rho[r] = position
+        # row_order[0] becomes the identity row: its letter at column c
+        # goes to the letter col2pos[c]
+        lam = [0] * len(col2pos)
+        for c, l in enumerate(grids[sigma][row_order[0]]):
+            lam[l] = col2pos[c]
+        maps.append(Paratopism(tuple(rho), col2pos, tuple(lam), sigma))
+    g0_inv = maps[0].inverse()
     return Stabilized(canon, count, [g0_inv.compose(g) for g in maps], iso)
 
 

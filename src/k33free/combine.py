@@ -116,7 +116,7 @@ def build_system(patterns: Iterable[BlockPattern], n: int) -> Gf2System:
     for p in patterns:
         if len(p.blocks) != 6:
             raise LatinError("footprint does not span six blocks")
-        sys.add_row({i * n + j for i, j in p.blocks}, 1)
+        sys.add_row((i * n + j for i, j in p.blocks), 1)
     return sys
 
 

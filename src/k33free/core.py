@@ -48,10 +48,6 @@ class LatinRectangle:
     def is_square(self) -> bool:
         return self.m == self.n
 
-    def __getitem__(self, rc: tuple[int, int]) -> int:
-        r, c = rc
-        return self.rows[r][c]
-
     def triples(self) -> Iterator[tuple[int, int, int]]:
         for r, row in enumerate(self.rows):
             for c, l in enumerate(row):
@@ -161,20 +157,10 @@ def conjugate(s: LatinRectangle, sigma: tuple[int, int, int]) -> LatinRectangle:
         return s
     if sigma not in shape_preserving_conjs(s.m, s.n):
         raise LatinError(f"conjugation {sigma} does not preserve shape {s.m}x{s.n}")
-    if sigma == CONJ_CL:
-        # new grid: row r maps letter l back to its column
-        grid = []
-        for row in s.rows:
-            inv = [0] * s.n
-            for c, l in enumerate(row):
-                inv[l] = c
-            grid.append(tuple(inv))
-        return LatinRectangle(tuple(grid))
-    n = s.n
-    new = [[-1] * n for _ in range(n)]
+    i, j, k = sigma
+    new = [[-1] * s.n for _ in range(s.m)]
     for t in s.triples():
-        u = (t[sigma[0]], t[sigma[1]], t[sigma[2]])
-        new[u[0]][u[1]] = u[2]
+        new[t[i]][t[j]] = t[k]
     return LatinRectangle(tuple(tuple(row) for row in new))
 
 

@@ -198,8 +198,12 @@ def _process_parent(args) -> tuple[int, dict[tuple, ClassStats]]:
     return raw, children
 
 
-def _two_row_reps(n: int) -> dict[tuple, ClassStats]:
-    """Main classes of 2-by-n rectangles: one per cycle type (partition, parts >= 2)."""
+def _two_row_reps(n: int) -> tuple[int, dict[tuple, ClassStats]]:
+    """Extend the identity row as :func:`_process_parent` does, without cliques.
+
+    The second rows are the derangements and the main classes their cycle
+    types (partitions of n into parts >= 2).
+    """
     reps: dict[tuple, ClassStats] = {}
 
     def partitions(remaining: int, min_part: int, acc: tuple[int, ...]):
@@ -214,7 +218,7 @@ def _two_row_reps(n: int) -> dict[tuple, ClassStats]:
                 partitions(remaining - p, p, acc + (p,))
 
     partitions(n, 2, ())
-    return reps
+    return _derangements(n), reps
 
 
 def classify_column(
@@ -239,9 +243,8 @@ def classify_column(
 
     results: dict[int, ClassificationResult] = {}
     # level 1: single reduced row
-    seed = LatinRectangle((tuple(range(n)),))
     level_reps: dict[tuple, ClassStats] = {
-        seed.rows: (factorial(n) * (2 if n > 1 else 6), 1)
+        (tuple(range(n)),): (canon.allowed_group_order(1, n) // factorial(n), 1)
     }
     results[1] = _make_result(1, n, level_reps, raw=0)
 
@@ -250,18 +253,15 @@ def classify_column(
         cached = _load_level(out_path, n, m)
         if cached is not None:
             level_reps, raw = cached
-        elif m == 2:
-            # second rows are exactly the derangements; classes are cycle types
-            level_reps = _two_row_reps(n)
-            raw = _derangements(n)
-            lhs = factorial(n) * raw
         else:
             parents = sorted(level_reps)
             tasks = [(rows, n) for rows in parents]
             merged: dict[tuple, ClassStats] = {}
             raw = 0
             lhs = 0
-            if jobs > 1:
+            if m == 2:
+                outputs = [_two_row_reps(n)]
+            elif jobs > 1:
                 with Pool(jobs) as pool:
                     outputs = pool.map(_process_parent, tasks, chunksize=1)
             else:
@@ -276,7 +276,6 @@ def classify_column(
                 for child_rows, stats in children.items():
                     merged.setdefault(child_rows, stats)
             level_reps = merged
-        if cached is None:
             rhs = _labeled_total(m, n, level_reps)
             if lhs != rhs:
                 raise DoubleCountError(

@@ -10,26 +10,31 @@ from typing import Iterable, Iterator
 class Gf2System:
     """A system of linear equations over GF(2).
 
-    Each row is a (support, rhs) pair: the variables in ``support`` sum to
-    ``rhs``.  Duplicate rows are harmless.
+    Each row is one int word: bit v is set when variable v is in the
+    support, and bit ``n_vars`` holds the rhs the support sums to.
+    Duplicate rows are harmless.
     """
 
     n_vars: int
-    rows: list[tuple[frozenset[int], int]] = field(default_factory=list)
+    rows: list[int] = field(default_factory=list)
 
     def add_row(self, support: Iterable[int], rhs: int) -> None:
-        sup = frozenset(support)
-        if sup and (min(sup) < 0 or max(sup) >= self.n_vars):
-            raise ValueError("variable index out of range")
+        word = 0
+        for v in support:
+            if not 0 <= v < self.n_vars:
+                raise ValueError("variable index out of range")
+            word |= 1 << v
         if rhs not in (0, 1):
             raise ValueError("rhs must be a bit")
-        self.rows.append((sup, rhs))
+        self.rows.append(word | rhs << self.n_vars)
 
     def check(self, vector: tuple[int, ...]) -> bool:
         """Re-substitution: does the 0/1 vector satisfy every row?"""
-        return all(
-            sum(vector[v] for v in sup) % 2 == rhs for sup, rhs in self.rows
-        )
+        bits = 1 << self.n_vars  # the rhs joins the parity
+        for v, x in enumerate(vector):
+            if x:
+                bits |= 1 << v
+        return all((word & bits).bit_count() % 2 == 0 for word in self.rows)
 
 
 @dataclass
@@ -59,18 +64,9 @@ def solve(sys: Gf2System) -> Gf2SolutionSpace:
     Inconsistency is reported as ``particular is None``, not as an error.
     """
     n = sys.n_vars
-    # pack each row as an int: bits 0..n-1 the support, bit n the rhs
-    packed = []
-    for sup, rhs in sys.rows:
-        word = 0
-        for v in sup:
-            word |= 1 << v
-        word |= rhs << n
-        packed.append(word)
-
     pivot_of_col: dict[int, int] = {}
     reduced: list[int] = []
-    for word in packed:
+    for word in sys.rows:
         for col, row_idx in pivot_of_col.items():
             if word >> col & 1:
                 word ^= reduced[row_idx]

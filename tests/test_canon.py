@@ -1,8 +1,11 @@
 """Canonical-form laws, stabilizers and orbit-stabilizer counting."""
 
 import functools
+import hashlib
 import itertools
+import json
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -226,3 +229,55 @@ def test_isotopy_classes_exact_when_elements_are_truncated(monkeypatch):
     cut = canon.canonical_with_stabilizer(fig3_b)
     assert len(cut.elements) == 2 < cut.order == full.order
     assert cut.isotopy_classes == full.isotopy_classes == 3
+
+
+# -- single rows -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_single_row_stabilizer_is_listed_in_full(n):
+    row = LatinRectangle((tuple(reversed(range(n))),))
+    stab = canon.canonical_with_stabilizer(row)
+    assert stab.order == factorial(n) * 2 == len(stab.elements)
+    assert all(apply(g, row).rows == row.rows for g in stab.elements)
+    assert len({(g.gamma, g.lam, g.conj) for g in stab.elements}) == stab.order
+    assert len(canon.cell_orbits(stab, row)) == 1
+    assert stab.isotopy_classes == 1
+
+
+def test_single_row_elements_stop_at_the_cap(monkeypatch):
+    monkeypatch.setattr(canon, "ELEMENT_CAP", 7)
+    stab = canon.canonical_with_stabilizer(LatinRectangle((tuple(range(5)),)))
+    assert len(stab.elements) == 7 < stab.order == 240
+
+
+# -- the version-2 canonical forms -------------------------------------------------
+
+#: sha256 of the JSON list of the 3x8 and then the 4x8 representatives (rows as
+#: lists) of classify_column(8, 4); new forms need a new CHECKPOINT_VERSION
+FORMS_3X8_4X8_SHA256 = "c666e00119fb98d8d357686bcf7a738ed67ed296cc4e204079643bfb747e3c1d"
+
+
+def test_canonical_forms_are_pinned():
+    col = generate.classify_column(8, 4)
+    assert [len(col[m].representatives) for m in (3, 4)] == [67, 412]
+    reps = [[list(r) for r in rep.rows] for m in (3, 4) for rep in col[m].representatives]
+    assert hashlib.sha256(json.dumps(reps).encode()).hexdigest() == FORMS_3X8_4X8_SHA256
+    assert generate.CHECKPOINT_VERSION == 2
+
+
+def cycle_types(n, least=2):
+    """Partitions of n into parts >= least, as ascending tuples."""
+    if n == 0:
+        yield ()
+    for part in range(least, n + 1):
+        for rest in cycle_types(n - part, part):
+            yield (part,) + rest
+
+
+def test_cycle_type_order_is_the_one_line_form_order():
+    # _Search keys row pairs by cycle type and spells out only the winner
+    for n in range(2, 16):
+        types = list(cycle_types(n))
+        assert len(set(map(canon._type_row, types))) == len(types)
+        assert sorted(types) == sorted(types, key=canon._type_row), n

@@ -146,6 +146,15 @@ def test_symmetry(capsys, fx):
     assert data["truncated"] is False
 
 
+def test_symmetry_of_a_single_row_is_listed_in_full(capsys, tmp_path):
+    row = tmp_path / "row.txt"
+    row.write_text("1 7\n6 5 4 3 2 1 0\n")
+    code, out = run(capsys, "--format", "json", "symmetry", "--kind", "paratopism", str(row))
+    data = json.loads(out)
+    assert code == 0 and data["order"] == 10080
+    assert data["cell_orbits"] == 1 and data["truncated"] is False
+
+
 def test_symmetry_marks_truncated_orbits(capsys, fx, monkeypatch):
     from k33free import canon
 
