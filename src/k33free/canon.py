@@ -26,14 +26,37 @@ The search exploits latin structure instead of permuting blindly:
 * once the column map is complete the images of the remaining rows are fixed
   and their optimal order is just sorted order.
 
-Every assignment realizing the minimum is kept: together they give the full
-stabilizer, and their conjugations the number of isotopy classes.
+Each complete column map is a leaf; it names the paratopism P(leaf) that
+sends the rectangle s to rows 0, 1 and the leaf's tail.  The automorphism
+group Aut(s) permutes the triples of rules 1 and 2, since the allowed group
+keeps both keys, and an automorphism a maps the leaves of a triple T one
+to one onto those of its image with equal tails (P(leaf) to P(leaf).a^-1).
+Conversely two leaves lam, mu with equal tails give the automorphism
+P(lam)^-1 . P(mu), which maps mu's triple onto lam's.  This gives the pruning
+rule (first-level orbit pruning, as in McKay & Piperno, "Practical graph
+isomorphism II", J. Symbolic Comput. 2014):
+
+4. A triple T whose leaf has the tail of a leaf of an earlier, fully
+   explored triple R is an image of R, and is abandoned at once: none of
+   its tails is new.  Tails are checked against the best tail, and, once an
+   automorphism has shown up, against a table of the explored triples'
+   tails (a trivial stabilizer never pays for the table).
+
+The minimal leaves are a coset of Aut(s), all of them in the orbit of T*,
+the first triple holding the least tail, and T* is fully explored.  Its
+minimal leaves give the stabilizer of T* in Aut(s); the triples abandoned
+against T* are the rest of its orbit.  So, by orbit-stabilizer, the order is
+|minimal leaves of T*| x (1 + #abandoned against T*), and each abandoned
+triple's pair of equal-tail leaves gives the coset of the automorphisms
+mapping T* onto it.  The conjugations of the minimal leaves are those of the
+triples of that orbit, and they make a coset of the image of Aut(s) in the
+conjugation group: isotopy classes = |conjugations| / |image|.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import Counter
 from math import factorial
 from typing import NamedTuple
 
@@ -47,7 +70,8 @@ from .core import (
 
 Level = str  # 'main' | 'isotopy'
 
-#: stop materializing stabilizer elements beyond this many (order stays exact)
+#: stop materializing stabilizer elements, and storing search leaves, beyond
+#: this many (order stays exact)
 ELEMENT_CAP = 100_000
 
 
@@ -75,10 +99,12 @@ def _cycles_of(perm: tuple[int, ...]) -> list[list[int]]:
     return cycles
 
 
+@functools.cache
 def _centralizer_order(lengths: tuple[int, ...]) -> int:
     """Number of permutations commuting with one of this cycle type."""
     out = 1
-    for ell, reps in Counter(lengths).items():
+    for ell in set(lengths):
+        reps = lengths.count(ell)
         out *= ell**reps * factorial(reps)
     return out
 
@@ -94,8 +120,12 @@ def _type_row(lengths: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(row)
 
 
+class _Abandon(Exception):
+    """The triple being expanded is an automorphic image of an explored one."""
+
+
 class _Search:
-    """Minimization over one shape; collects every assignment achieving it."""
+    """Minimization over one shape, pruned by the automorphisms it finds."""
 
     def __init__(self, s: LatinRectangle, level: Level):
         self.m, self.n = s.m, s.n
@@ -112,9 +142,11 @@ class _Search:
     def run(self) -> tuple[LatinRectangle, int, int]:
         """(form, stabilizer order, isotopy classes).
 
-        The minimal leaves, ``(sigma, row_order, col2pos)`` and at most
-        ``ELEMENT_CAP`` of them, are left in ``self.leaves``, to be read
-        once (for a single row it is an iterator).
+        The minimal leaves of the triple T* that holds the least tail,
+        ``(sigma, row_order, col2pos)`` and at most ``ELEMENT_CAP`` of them,
+        are left in ``self.leaves``, to be read once (for a single row it is
+        an iterator); ``self.twins`` holds one pair of equal-tail leaves
+        ``(leaf of T, leaf of T*)`` per triple T abandoned against T*.
         """
         m, n = self.m, self.n
         if m == 1:
@@ -157,23 +189,26 @@ class _Search:
         least = min(invariants)
 
         self.best_tail: list[tuple[int, ...]] | None = None
+        self.owner = -1  # index of the triple holding best_tail
         self.leaf_count = 0
         self.leaves: list[tuple] = []
-        self.leaf_conjs: set[tuple[int, int, int]] = set()
-        for entry, inv in zip(group, invariants):
+        self.twins: list[tuple[tuple, tuple]] = []
+        # tail bytes -> (triple, leaf) over the fully explored triples, filled
+        # only once an automorphism has shown up (trivial stabilizers skip it)
+        self.seen: dict[bytes, tuple[int, tuple]] | None = None
+        for t, (entry, inv) in enumerate(zip(group, invariants)):
             if inv == least:
-                self._expand(*entry)
+                self._expand(t, *entry)
 
         assert self.best_tail is not None
         canon = LatinRectangle((tuple(range(n)), _type_row(best_key[1]), *self.best_tail))
-        # minimal leaves are a stabilizer coset, so their conjugations are a
-        # coset of its image in the conjugation group: iso = |conjs| / |image|
-        iso = len(self.conjs) // len(self.leaf_conjs)
-        return canon, self.leaf_count, iso
+        # orbit-stabilizer over T* and the triples abandoned against it
+        conjs = {self.leaves[0][0]} | {mine[0] for mine, _ in self.twins}
+        return canon, self.leaf_count * (1 + len(self.twins)), len(self.conjs) // len(conjs)
 
     # -- expansion of one (sigma, r0, r1) triple ---------------------------
 
-    def _expand(self, sigma, grid, pos, r0, r1, cycles):
+    def _expand(self, t, sigma, grid, pos, r0, r1, cycles):
         m, n = self.m, self.n
         by_len: dict[int, list[list[int]]] = {}
         for cy in cycles:
@@ -189,7 +224,7 @@ class _Search:
 
         def assign_block(bi: int, p: int):
             if bi == len(lengths):
-                self._evaluate(sigma, r0, r1, pis, other_rows, col2pos)
+                self._evaluate(t, sigma, r0, r1, pis, other_rows, col2pos)
                 return
             ell = lengths[bi]
             cys = by_len[ell]
@@ -208,9 +243,15 @@ class _Search:
                     col2pos[cy[k]] = -1
                 flags[ci] = False
 
-        assign_block(0, 0)
+        self.pending: list[tuple[bytes, tuple[int, tuple]]] = []
+        try:
+            assign_block(0, 0)
+        except _Abandon:
+            return
+        if self.seen is not None:
+            self.seen.update(self.pending)
 
-    def _evaluate(self, sigma, r0, r1, pis, other_rows, col2pos):
+    def _evaluate(self, t, sigma, r0, r1, pis, other_rows, col2pos):
         pos2col = [0] * self.n
         for c, p in enumerate(col2pos):
             pos2col[p] = c
@@ -218,18 +259,46 @@ class _Search:
             (tuple([col2pos[pis[r][c]] for c in pos2col]), r) for r in other_rows
         )
         tail = [img for img, _ in imgs]
-        if self.best_tail is None or tail < self.best_tail:
+        best = self.best_tail
+        if self.seen is None and best is not None and tail > best:
+            return
+        leaf = (sigma, [r0, r1] + [r for _, r in imgs], tuple(col2pos))
+        if best is None or tail < best:
             self.best_tail = tail
+            self.owner = t
             self.leaf_count = 0
             self.leaves = []
-            self.leaf_conjs = set()
-        if tail == self.best_tail:
-            self.leaf_count += 1
-            self.leaf_conjs.add(sigma)
-            if self.leaf_count <= ELEMENT_CAP:
-                self.leaves.append(
-                    (sigma, [r0, r1] + [r for _, r in imgs], tuple(col2pos))
-                )
+            self.twins = []
+        elif tail > best:
+            # a hit in the table makes the current triple an image of the hit's
+            key = bytes(itertools.chain.from_iterable(tail))
+            hit = self.seen.get(key)
+            if hit is not None:
+                self._abandon(hit, leaf)
+            if len(self.seen) + len(self.pending) < ELEMENT_CAP:
+                self.pending.append((key, (t, leaf)))
+            return
+        elif self.owner != t:
+            # the best tail again: the current triple is an image of its owner
+            self._abandon((self.owner, self.leaves[0]), leaf)
+        elif self.seen is None:
+            self.seen = {}  # a second minimal leaf: a nontrivial automorphism
+        self.leaf_count += 1
+        if self.leaf_count <= ELEMENT_CAP:
+            self.leaves.append(leaf)
+
+    def _abandon(self, hit: tuple[int, tuple], leaf: tuple):
+        """Drop the current triple: ``leaf`` has the tail of ``hit``'s leaf.
+
+        The two leaves differ by an automorphism that maps the explored triple
+        onto the current one, so the current triple adds no new tail.
+        """
+        explored, theirs = hit
+        if explored == self.owner:
+            self.twins.append((leaf, theirs))
+        if self.seen is None:
+            self.seen = {}
+        raise _Abandon
 
     # -- degenerate single-row shape ---------------------------------------
 
@@ -245,6 +314,7 @@ class _Search:
             for gamma in itertools.permutations(range(n))
         )
         self.leaves = itertools.islice(leaves, ELEMENT_CAP)
+        self.twins = []
         return LatinRectangle((tuple(range(n)),)), factorial(n) * len(self.conjs), 1
 
 
@@ -272,8 +342,9 @@ def canonical_with_stabilizer(s: LatinRectangle, level: Level = "main") -> Stabi
     search = _Search(s, level)
     canon, count, iso = search.run()
     grids = {sigma: grid for sigma, grid, _ in search.images}
-    maps = []
-    for sigma, row_order, col2pos in search.leaves:
+
+    def paratopism(leaf) -> Paratopism:
+        sigma, row_order, col2pos = leaf
         rho = [0] * len(row_order)
         for position, r in enumerate(row_order):
             rho[r] = position
@@ -282,9 +353,18 @@ def canonical_with_stabilizer(s: LatinRectangle, level: Level = "main") -> Stabi
         lam = [0] * len(col2pos)
         for c, l in enumerate(grids[sigma][row_order[0]]):
             lam[l] = col2pos[c]
-        maps.append(Paratopism(tuple(rho), col2pos, tuple(lam), sigma))
+        return Paratopism(tuple(rho), col2pos, tuple(lam), sigma)
+
+    # the stabilizer of T* is g0^-1 . P(leaf) over its minimal leaves; a twin
+    # pair (leaf of T, leaf of T*) gives an automorphism c mapping T* onto T,
+    # and c composed with that stabilizer is every automorphism doing so
+    maps = [paratopism(leaf) for leaf in search.leaves]
     g0_inv = maps[0].inverse()
-    return Stabilized(canon, count, [g0_inv.compose(g) for g in maps], iso)
+    fixing = [g0_inv.compose(g) for g in maps]
+    shifts = [paratopism(mine).inverse().compose(paratopism(theirs))
+              for mine, theirs in search.twins]
+    elements = itertools.chain(fixing, (c.compose(h) for c in shifts for h in fixing))
+    return Stabilized(canon, count, list(itertools.islice(elements, ELEMENT_CAP)), iso)
 
 
 def symmetry_group(s: LatinRectangle, kind: str = "autotopism") -> Stabilized:

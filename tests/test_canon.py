@@ -5,7 +5,7 @@ import hashlib
 import itertools
 import json
 import random
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,7 @@ from k33free.core import (
     group_table,
     linear_square,
     shape_preserving_conjs,
+    supported_group_specs,
 )
 
 
@@ -110,6 +111,66 @@ def test_allowed_group_order():
     assert canon.allowed_group_order(3, 5, "isotopy") == 6 * 120 * 120
     assert canon.allowed_group_order(3, 5, "main") == 6 * 120 * 120 * 2
     assert canon.allowed_group_order(4, 4, "main") == 24 * 24 * 24 * 6
+
+
+# -- stabilizers against oracles that share no canon code -----------------------
+
+
+def brute_force_stabilizer(s, level):
+    """Every paratopism fixing s, as (rho, gamma, lam, conj), by enumerating
+    conj x rho x gamma; lam is read off the row that rho sends to row 0."""
+    conjs = (canon.CONJ_ID,) if level == "isotopy" else shape_preserving_conjs(s.m, s.n)
+    found = set()
+    for sigma in conjs:
+        grid = conjugate(s, sigma).rows
+        for rho in itertools.permutations(range(s.m)):
+            top = grid[rho.index(0)]
+            for gamma in itertools.permutations(range(s.n)):
+                lam = [0] * s.n
+                for c, l in enumerate(top):
+                    lam[l] = s.rows[0][gamma[c]]
+                if all(s.rows[rho[r]][gamma[c]] == lam[l]
+                       for r in range(s.m) for c, l in enumerate(grid[r])):
+                    found.add((rho, gamma, tuple(lam), sigma))
+    return found
+
+
+@pytest.mark.parametrize("level", ["main", "isotopy"])
+def test_stabilizer_elements_equal_brute_force(level):
+    rng = random.Random(17)
+    rects = [group_table("Z4"), group_table("Z2xZ2"), group_table("Z5")]
+    rects += [random_rectangle(rng, m, n) for m, n in [(3, 5), (4, 5), (3, 6), (2, 6)]]
+    for s in rects:
+        stab = canon.canonical_with_stabilizer(s, level)
+        assert {(g.rho, g.gamma, g.lam, g.conj) for g in stab.elements} == (
+            brute_force_stabilizer(s, level)
+        )
+        assert len(stab.elements) == stab.order
+
+
+#: |Aut(G)| of the supported groups that are neither cyclic nor dihedral
+AUT_ORDER = {"Z2xZ2": 6, "Z2xZ4": 8, "Z2xZ2xZ2": 168, "Z3xZ3": 48, "Z2xZ6": 12,
+             "Z2xZ8": 16, "Z4xZ4": 96, "Z2xZ2xZ4": 192}
+
+
+def automorphism_count(spec):
+    """|Aut(G)|: phi(k) for Z_k, k phi(k) for the dihedral D_k of order 2k."""
+    if spec in AUT_ORDER:
+        return AUT_ORDER[spec]
+    k = int(spec[1:])
+    phi = sum(1 for a in range(1, k + 1) if gcd(a, k) == 1)
+    return phi if spec.startswith("Z") else k * phi
+
+
+# Z2xZ2xZ2xZ2 is left out: the triple holding its least tail alone has
+# 8! 2^8 leaves, and only pruning inside a triple would make it cheap
+@pytest.mark.parametrize("spec", [g for g in supported_group_specs(16) if g != "Z2xZ2xZ2xZ2"])
+def test_autotopism_group_of_a_cayley_table(spec):
+    # the autotopisms of the Cayley table of G number |G|^2 |Aut(G)|
+    table = group_table(spec)
+    stab = canon.symmetry_group(table, "autotopism")
+    assert stab.order == table.n**2 * automorphism_count(spec)
+    assert len(stab.elements) == stab.order
 
 
 # -- row-cycle refinement ------------------------------------------------------
