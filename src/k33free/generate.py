@@ -54,72 +54,64 @@ def candidates(s: LatinRectangle) -> list[Candidate]:
 def compatibility_graph(s: LatinRectangle, cands: Sequence[Candidate]) -> CompatibilityGraph:
     """Edges: distinct columns, distinct letters, and no K3,3 closed with s.
 
-    Two candidates (c', l'), (c'', l'') are incompatible when some column c
-    holds l' in row r' and l'' in row r'' with s(r', c'') == s(r'', c').
+    For a column c, distinct rows r', r'' and a letter x, the candidates
+    (pos[r''][x], s(r', c)) and (pos[r'][x], s(r'', c)) are incompatible,
+    where pos[r][x] is the column of x in row r: with the cells of rows r'
+    and r'' in column c and in the columns of x, they would close a K3,3.
+    Swapping r' and r'' names the same pair, so each row pair is visited once.
     """
     m, n = s.m, s.n
     grid = s.rows
-    row_of = [[-1] * n for _ in range(n)]  # row_of[c][l]
-    for r in range(m):
-        for c in range(n):
-            row_of[c][grid[r][c]] = r
-    nv = len(cands)
-    adj = [0] * nv
-    for i in range(nv):
-        ci, li = cands[i]
-        for j in range(i + 1, nv):
-            cj, lj = cands[j]
-            if ci == cj or li == lj:
-                continue
-            ok = True
-            for c in range(n):
-                rp = row_of[c][li]
-                rq = row_of[c][lj]
-                if rp >= 0 and rq >= 0 and grid[rp][cj] == grid[rq][ci]:
-                    ok = False
-                    break
-            if ok:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    pos = s.column_positions()
+    index = [[-1] * n for _ in range(n)]  # index[c][l]: vertex of (c, l), or -1
+    col_mask, letter_mask = [0] * n, [0] * n
+    for i, (c, l) in enumerate(cands):
+        index[c][l] = i
+        col_mask[c] |= 1 << i
+        letter_mask[l] |= 1 << i
+    full = (1 << len(cands)) - 1
+    adj = [full & ~(col_mask[c] | letter_mask[l]) for c, l in cands]
+    for c in range(n):
+        for r1 in range(m):
+            at1, pos1 = grid[r1][c], pos[r1]
+            for r2 in range(r1 + 1, m):
+                at2, pos2 = grid[r2][c], pos[r2]
+                for x in range(n):
+                    a = index[pos2[x]][at1]
+                    b = index[pos1[x]][at2]
+                    if a >= 0 and b >= 0:
+                        adj[a] &= ~(1 << b)
+                        adj[b] &= ~(1 << a)
     return CompatibilityGraph(list(cands), adj)
 
 
-def cliques_of_size(g: CompatibilityGraph, size: int) -> list[tuple[Candidate, ...]]:
-    """All cliques of exactly `size` vertices, in deterministic order.
+def cliques_of_size(g: CompatibilityGraph, n: int) -> list[tuple[int, ...]]:
+    """The new rows: every size-n clique of the graph of an n-column rectangle.
 
-    Vertices in a clique have pairwise distinct columns, so the search walks
-    columns as an exact cover.
+    Such a clique takes one candidate in each column, so the search walks
+    the columns as an exact cover, fewest candidates first, and each row is
+    found once, spelled out in ``row`` as it goes.
     """
-    by_col: dict[int, list[int]] = {}
+    by_col: list[list[int]] = [[] for _ in range(n)]
     for i, cand in enumerate(g.vertices):
-        by_col.setdefault(cand.col, []).append(i)
-    cols = sorted(by_col, key=lambda c: (len(by_col[c]), c))
-    adj = g.adjacency
-    out: list[tuple[Candidate, ...]] = []
+        by_col[cand.col].append(i)
+    cols = sorted(range(n), key=lambda c: len(by_col[c]))
+    adj, vertices = g.adjacency, g.vertices
+    row = [0] * n
+    out: list[tuple[int, ...]] = []
 
-    def rec(ci: int, chosen: list[int], mask: int):
-        if len(chosen) == size:
-            out.append(tuple(sorted(g.vertices[i] for i in chosen)))
+    def rec(k: int, mask: int):
+        if k == n:
+            out.append(tuple(row))
             return
-        if ci == len(cols) or len(chosen) + (len(cols) - ci) < size:
-            return
-        col = cols[ci]
+        col = cols[k]
         for i in by_col[col]:
             if mask >> i & 1:
-                rec(ci + 1, chosen + [i], mask & adj[i])
-        # clique may also skip this column entirely
-        rec(ci + 1, chosen, mask)
+                row[col] = vertices[i].letter
+                rec(k + 1, mask & adj[i])
 
-    rec(0, [], (1 << len(g.vertices)) - 1)
-    return sorted(set(out))
-
-
-def clique_row(clique: Sequence[Candidate], n: int) -> tuple[int, ...]:
-    """The new row a size-n clique (one candidate per column) spells out."""
-    row = [0] * n
-    for c, l in clique:
-        row[c] = l
-    return tuple(row)
+    rec(0, (1 << len(vertices)) - 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +175,7 @@ def _process_parent(args) -> tuple[int, dict[tuple, ClassStats]]:
     parent_rows, n = args
     parent = LatinRectangle(parent_rows)
     g = compatibility_graph(parent, candidates(parent))
-    rows = [clique_row(clique, n) for clique in cliques_of_size(g, n)]
+    rows = cliques_of_size(g, n)
     raw = len(rows)
 
     stab = canon.canonical_with_stabilizer(parent, "main")

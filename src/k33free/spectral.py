@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .core import LatinError, LatinRectangle
-from .pattern import PatternOccurrence
+from .pattern import PatternOccurrence, is_k33_free
 
 Cell = tuple[int, int]
 
@@ -115,30 +115,36 @@ MAX_TRADE_CAP = 4
 def min_trade_volume(s: LatinRectangle, cap: int = 3) -> int | None:
     """Least volume <= cap of a transversal trade of s, if any.
 
-    Volumes 1 and 2 are impossible, and a volume-3 trade exists exactly
-    when the square is not K3,3-free, so the interesting caps are tiny.
+    Volumes 1 and 2 are impossible.  A volume-3 trade is exactly an induced
+    K3,3: each part has distinct rows, columns and letters, and a plus
+    cell's row-mate and column-mate in the minus part carry other letters,
+    so the third minus cell carries its letter.  Only volume 4 is searched.
     """
     if not s.is_square:
         raise LatinError("trades are searched in squares")
     if not 1 <= cap <= MAX_TRADE_CAP:
         raise LatinError(f"cap {cap} is outside the search range 1..{MAX_TRADE_CAP}")
-    n = s.n
-    all_cells = [(r, c) for r in range(n) for c in range(n)]
-    for vol in range(1, cap + 1):
-        # a minus cell can only sit on rows, columns and letters that the
-        # plus part already touches, which keeps the second stage tiny
-        for plus in itertools.combinations(all_cells, vol):
-            rows_used = {r for r, _ in plus}
-            cols_used = {c for _, c in plus}
-            lets_used = {s.rows[r][c] for r, c in plus}
-            pool = [
-                (r, c)
-                for r in rows_used
-                for c in cols_used
-                if s.rows[r][c] in lets_used and (r, c) not in plus
-            ]
-            for minus in itertools.combinations(pool, vol):
-                t = Trade(frozenset(plus), frozenset(minus))
-                if check_trade(s, t):
-                    return vol
-    return None
+    if cap >= 3 and not is_k33_free(s):
+        return 3
+    return 4 if cap == 4 and _has_trade_of_volume(s, 4) else None
+
+
+def _has_trade_of_volume(s: LatinRectangle, vol: int) -> bool:
+    """Exhaustive search for a transversal trade of exactly this volume."""
+    all_cells = [(r, c) for r in range(s.n) for c in range(s.n)]
+    # a minus cell can only sit on rows, columns and letters that the
+    # plus part already touches, which keeps the second stage tiny
+    for plus in itertools.combinations(all_cells, vol):
+        rows_used = {r for r, _ in plus}
+        cols_used = {c for _, c in plus}
+        lets_used = {s.rows[r][c] for r, c in plus}
+        pool = [
+            (r, c)
+            for r in rows_used
+            for c in cols_used
+            if s.rows[r][c] in lets_used and (r, c) not in plus
+        ]
+        for minus in itertools.combinations(pool, vol):
+            if check_trade(s, Trade(frozenset(plus), frozenset(minus))):
+                return True
+    return False

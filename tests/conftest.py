@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import factorial
 from typing import NamedTuple
 
 import pytest
@@ -74,27 +75,33 @@ class FreeRectangles(NamedTuple):
 
 @pytest.fixture(scope="session")
 def brute_force_oracle() -> dict[tuple[int, int], FreeRectangles]:
-    """The K3,3-free rectangles of every m-by-n shape with 2 <= m <= n <= 5.
+    """The K3,3-free rectangles of every m-by-n shape with 2 <= m <= n <= 6.
 
-    The free m-row rectangles are the free (m-1)-row ones extended by every
-    compatible permutation row, filtered by the pattern scan: a rectangle
-    with a witness keeps it in every extension, so none is missed.  Every
-    free labeled rectangle is canonised.  Built once per session.
+    Works on reduced rectangles (row 0 = 0..n-1, column 0 = 0..m-1): the
+    free m-row ones are the free (m-1)-row ones extended by every
+    compatible permutation row starting with m-1, filtered by the pattern
+    scan (a rectangle with a witness keeps it in every extension, so none
+    is missed).  Every main class has a reduced member and freeness is an
+    isotopy invariant, so the forms of the reduced free rectangles are all
+    the classes, and the labeled count is R * n! * (n-1)! / (n-m)! for R
+    reduced ones.  Built once per session.
     """
     oracle = {}
-    for n in range(3, 6):
+    for n in range(3, 7):
         perms = list(itertools.permutations(range(n)))
-        level = [(p,) for p in perms]
+        level = [(tuple(range(n)),)]
         for m in range(2, n + 1):
             level = [
                 rows + (p,)
                 for rows in level
                 for p in perms
-                if all(p[c] != r[c] for r in rows for c in range(n))
+                if p[0] == m - 1
+                and all(p[c] != r[c] for r in rows for c in range(n))
                 and is_k33_free(LatinRectangle(rows + (p,)))
             ]
             forms = {canon.canonical_form(LatinRectangle(rows)).rows for rows in level}
-            oracle[(m, n)] = FreeRectangles(len(level), forms)
+            labeled = len(level) * factorial(n) * factorial(n - 1) // factorial(n - m)
+            oracle[(m, n)] = FreeRectangles(labeled, forms)
     return oracle
 
 

@@ -99,8 +99,8 @@ def test_criterion_04_double_count_validation(census_cols):
 
 
 def test_criterion_05_brute_force_oracle(brute_force_oracle):
-    with criterion(5, "engine equals brute force for all shapes with n <= 5"):
-        for n in range(3, 6):
+    with criterion(5, "engine equals brute force for all shapes with n <= 6"):
+        for n in range(3, 7):
             col = generate.classify_column(n, n)
             for m in range(2, n + 1):
                 oracle = brute_force_oracle[(m, n)]

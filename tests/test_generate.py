@@ -26,18 +26,24 @@ def test_candidates_rejects_squares():
 
 
 def test_compatibility_and_cliques_give_exactly_the_valid_rows():
-    # every size-n clique must be a legal K3,3-free extension row, and
-    # every legal extension row must appear as a clique
-    for parent in itertools.islice(all_rectangles(2, 5), 40):
+    # every size-n clique must be a legal K3,3-free extension row, found
+    # once, and every legal extension row must appear as a clique; the 3x6
+    # and 4x7 parents put more than one row pair under the K3,3 clause
+    parents = list(itertools.islice(all_rectangles(2, 5), 40))
+    parents += generate.classify_column(6, 3)[3].representatives
+    parents += generate.classify_column(7, 4)[4].representatives
+    for parent in parents:
         g = generate.compatibility_graph(parent, generate.candidates(parent))
-        children = {generate.clique_row(c, 5) for c in generate.cliques_of_size(g, 5)}
+        n = parent.n
+        rows = generate.cliques_of_size(g, n)
+        assert len(rows) == len(set(rows))
         direct = set()
-        for p in itertools.permutations(range(5)):
-            if all(p[c] != r[c] for r in parent.rows for c in range(5)):
+        for p in itertools.permutations(range(n)):
+            if all(p[c] != r[c] for r in parent.rows for c in range(n)):
                 child = LatinRectangle(parent.rows + (p,))
                 if is_k33_free(child):
                     direct.add(p)
-        assert children == direct
+        assert set(rows) == direct, parent.rows
 
 
 def test_cliques_empty_graph():
@@ -51,7 +57,7 @@ def test_derangement_numbers():
     assert [generate._derangements(n) for n in range(2, 8)] == [1, 2, 9, 44, 265, 1854]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_engine_matches_brute_force_classification(n, brute_force_oracle):
     col = generate.classify_column(n, n)
     for m in range(2, n + 1):
@@ -98,18 +104,15 @@ def test_checkpoint_of_another_shape_is_rejected(tmp_path):
 
 
 def _unreduced_children(parent_rows, n):
-    """Canonize the child of every clique, with no stabilizer reduction."""
+    """Canonize the child of every new row, with no stabilizer reduction."""
     parent = LatinRectangle(parent_rows)
     g = generate.compatibility_graph(parent, generate.candidates(parent))
-    cliques = generate.cliques_of_size(g, n)
+    rows = generate.cliques_of_size(g, n)
     children = {}
-    for clique in cliques:
-        row = [0] * n
-        for c, l in clique:
-            row[c] = l
-        stab = canon.canonical_with_stabilizer(LatinRectangle(parent_rows + (tuple(row),)))
+    for row in rows:
+        stab = canon.canonical_with_stabilizer(LatinRectangle(parent_rows + (row,)))
         children.setdefault(stab.form.rows, (stab.order, stab.isotopy_classes))
-    return len(cliques), children
+    return len(rows), children
 
 
 @pytest.mark.parametrize("m, n, sample", [(3, 6, None), (4, 7, None), (4, 8, 12)])
@@ -124,7 +127,7 @@ def test_orbit_reduction_keeps_every_child_class(m, n, sample):
         stab = canon.canonical_with_stabilizer(rep)
         assert len(stab.elements) == stab.order
         g = generate.compatibility_graph(rep, generate.candidates(rep))
-        rows = [generate.clique_row(c, n) for c in generate.cliques_of_size(g, n)]
+        rows = generate.cliques_of_size(g, n)
         canon_calls += len(generate._orbit_representatives(rows, stab.elements))
         raw_total += raw
     # the reduction did remove work on these parents

@@ -77,10 +77,13 @@ def test_free_square_has_no_volume_three_trade():
 
 
 def test_volume_three_iff_not_free_on_random_squares():
+    # the theorem min_trade_volume relies on, checked by exhaustive search
     rng = random.Random(31)
     for _ in range(12):
         n = rng.randint(3, 6)
         s = random_rectangle(rng, n, n)
-        has3 = spectral.min_trade_volume(s, cap=3) == 3
+        assert not spectral._has_trade_of_volume(s, 1)
+        assert not spectral._has_trade_of_volume(s, 2)
+        has3 = spectral._has_trade_of_volume(s, 3)
         assert has3 == (not is_k33_free(s))
         assert bool(find_k33(s)) == has3
