@@ -380,32 +380,24 @@ def symmetry_group(s: LatinRectangle, kind: str = "autotopism") -> Stabilized:
 def cell_orbits(group: Stabilized, s: LatinRectangle) -> list[set[tuple[int, int]]]:
     """Orbit partition of the cells of s under the stabilizer elements.
 
-    When the element list was cut at ``ELEMENT_CAP`` (fewer elements than
-    the group order) the partition can be finer than the true orbits.
+    A complete element list is the whole group, so the orbit of a cell is
+    the set of its images, and each orbit is built from one cell not yet
+    covered (#orbits x |elements| images).  When the list was cut at
+    ``ELEMENT_CAP`` (fewer elements than the group order) each block is the
+    uncovered part of some images, still inside a true orbit, so the
+    partition can be finer than the true orbits.
     """
-    m, n = s.m, s.n
-    parent: dict[tuple[int, int], tuple[int, int]] = {
-        (r, c): (r, c) for r in range(m) for c in range(n)
-    }
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for g in group.elements:
-        for r in range(m):
-            row = s.rows[r]
-            for c in range(n):
-                t = g.act_triple((r, c, row[c]))
-                a, b = find((r, c)), find((t[0], t[1]))
-                if a != b:
-                    parent[a] = b
-    orbits: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for cell in list(parent):
-        orbits.setdefault(find(cell), set()).add(cell)
-    return list(orbits.values())
-
+    covered: set[tuple[int, int]] = set()
+    orbits = []
+    for r, row in enumerate(s.rows):
+        for c, l in enumerate(row):
+            if (r, c) in covered:
+                continue
+            orbit = {(r, c)}
+            for g in group.elements:
+                t = g.act_triple((r, c, l))
+                orbit.add((t[0], t[1]))
+            orbit -= covered
+            covered |= orbit
+            orbits.append(orbit)
+    return orbits

@@ -97,7 +97,7 @@ def _level_fields(column: dict[int, generate.ClassificationResult]) -> list[dict
     """The manifest entry of each level of a census column."""
     return [
         {"m": m, "n": res.n, "raw_extensions": res.raw_extensions,
-         "seconds": round(res.seconds, 3)}
+         "canonised": res.canonised, "seconds": round(res.seconds, 3)}
         for m, res in sorted(column.items())
     ]
 

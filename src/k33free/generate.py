@@ -7,6 +7,20 @@ and size-n cliques (one candidate per column) as the new rows, one per
 orbit of the parent's stabilizer.  Children are deduplicated by main-level
 canonical form and keep their stabilizer order and isotopy class count.
 
+Before a child with fewer rows than columns is canonised, its new row must
+pass a cheap test (McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 26, 1998, sec. 3).  The invariant of a row r is the sorted list,
+over the other rows r', of the cycle type of the permutation linking r and
+r'; the new row's invariant must be the greatest among the child's rows.
+No class is lost.  With fewer rows than columns the allowed conjugations
+(the identity and column<->letter) keep rows as rows; an isotopy conjugates
+each linking permutation, and column<->letter turns a^-1 b into a b^-1, of
+the same cycle type; so every allowed map keeps the invariant.  A class C
+has a row d of greatest invariant, C - d is isomorphic to a parent P, and
+the image of d in P + row, or any image of it under the stabilizer of P,
+is then a greatest new row.  Squares (m = n) are not filtered: conjugations
+there move rows.
+
 Each level is validated by counting all labeled rectangles two ways (from
 parent orbits times raw extension counts, and from child orbits); any
 disagreement raises.
@@ -128,6 +142,7 @@ class ClassificationResult:
     total_labeled_count: int
     raw_extensions: int  # cliques found while extending the previous level
     seconds: float = 0.0  # the whole level, checkpoint and isotopy counts included
+    canonised: int = 0  # child canon calls made in this run (0 if loaded)
 
 
 class DoubleCountError(RuntimeError):
@@ -170,27 +185,70 @@ def _orbit_representatives(rows: list[tuple], stab: Sequence[Paratopism]) -> lis
     return kept
 
 
-def _process_parent(args) -> tuple[int, dict[tuple, ClassStats]]:
-    """Extend one parent representative; dedupe children by canonical form."""
+def _link_type(pos_a: Sequence[int], row_b: Sequence[int]) -> tuple[int, ...]:
+    """Cycle type (ascending lengths) of the permutation linking two rows.
+
+    ``pos_a`` is the inverse of row a; the permutation c -> pos_a[row_b[c]]
+    and its inverse (the same pair read from b) have the same type.
+    """
+    return tuple(sorted(len(cy) for cy in canon._cycles_of([pos_a[l] for l in row_b])))
+
+
+def _new_row_test(parent: LatinRectangle):
+    """The test a new row must pass before its child is canonised.
+
+    The invariant of a row is the sorted list of its link types to the other
+    rows, and the new row's must be the greatest among the child's rows; the
+    parent's pair types are computed once, and m types per new row.  A child
+    that is a square is not tested: conjugations there move rows.
+    """
+    m, n = parent.m, parent.n
+    if m + 1 == n:
+        return lambda row: True
+    pos = parent.column_positions()
+    base = [[_link_type(pos[a], parent.rows[b]) for b in range(m) if b != a] for a in range(m)]
+
+    def passes(row: tuple[int, ...]) -> bool:
+        types = [_link_type(p, row) for p in pos]
+        inv = sorted(types)
+        return all(inv >= sorted(base[a] + [t]) for a, t in enumerate(types))
+
+    return passes
+
+
+def _process_parent(args) -> tuple[int, int, dict[tuple, ClassStats]]:
+    """Extend one parent representative; dedupe children by canonical form.
+
+    Returns the raw extension count, the number of children canonised and
+    the children's classes.
+    """
     parent_rows, n = args
     parent = LatinRectangle(parent_rows)
     g = compatibility_graph(parent, candidates(parent))
     rows = cliques_of_size(g, n)
     raw = len(rows)
 
-    stab = canon.canonical_with_stabilizer(parent, "main")
-    if len(stab.elements) == stab.order:
-        rows = _orbit_representatives(rows, stab.elements)
+    # the test's pass set is closed under the parent's stabilizer, so it can
+    # follow the orbit reduction; a parent with no passing row is spared its
+    # stabilizer, at the cost of a scan up to the first passing row
+    passes = _new_row_test(parent)
+    if any(map(passes, rows)):
+        stab = canon.canonical_with_stabilizer(parent, "main")
+        if len(stab.elements) == stab.order:
+            rows = _orbit_representatives(rows, stab.elements)
+        rows = [row for row in rows if passes(row)]
+    else:
+        rows = []
 
     children: dict[tuple, ClassStats] = {}
     for row in rows:
         child = LatinRectangle(parent_rows + (row,))
         form, order, _, iso = canon.canonical_with_stabilizer(child, "main")
         children.setdefault(form.rows, (order, iso))
-    return raw, children
+    return raw, len(rows), children
 
 
-def _two_row_reps(n: int) -> tuple[int, dict[tuple, ClassStats]]:
+def _two_row_reps(n: int) -> tuple[int, int, dict[tuple, ClassStats]]:
     """Extend the identity row as :func:`_process_parent` does, without cliques.
 
     The second rows are the derangements and the main classes their cycle
@@ -210,7 +268,7 @@ def _two_row_reps(n: int) -> tuple[int, dict[tuple, ClassStats]]:
                 partitions(remaining - p, p, acc + (p,))
 
     partitions(n, 2, ())
-    return _derangements(n), reps
+    return _derangements(n), len(reps), reps
 
 
 def classify_column(
@@ -240,53 +298,63 @@ def classify_column(
     }
     results[1] = _make_result(1, n, level_reps, raw=0)
 
-    for m in range(2, m_max + 1):
-        t0 = time.time()
-        cached = _load_level(out_path, n, m)
-        if cached is not None:
-            level_reps, raw = cached
-        else:
-            parents = sorted(level_reps)
-            tasks = [(rows, n) for rows in parents]
-            merged: dict[tuple, ClassStats] = {}
-            raw = 0
-            lhs = 0
-            if m == 2:
-                outputs = [_two_row_reps(n)]
-            elif jobs > 1:
-                with Pool(jobs) as pool:
-                    outputs = pool.map(_process_parent, tasks, chunksize=1)
+    pool = None  # one worker pool for the column, forked at its first use
+    try:
+        for m in range(2, m_max + 1):
+            t0 = time.time()
+            canonised = 0
+            cached = _load_level(out_path, n, m)
+            if cached is not None:
+                level_reps, raw = cached
             else:
-                outputs = [_process_parent(t) for t in tasks]
-            for rows, (raw_p, children) in zip(parents, outputs):
-                raw += raw_p
-                lhs += (
-                    canon.allowed_group_order(m - 1, n, "main")
-                    // level_reps[rows][0]
-                    * raw_p
+                parents = sorted(level_reps)
+                tasks = [(rows, n) for rows in parents]
+                merged: dict[tuple, ClassStats] = {}
+                raw = 0
+                lhs = 0
+                if m == 2:
+                    outputs = [_two_row_reps(n)]
+                elif jobs > 1:
+                    if pool is None:
+                        pool = Pool(jobs)
+                    outputs = pool.map(_process_parent, tasks, chunksize=1)
+                else:
+                    outputs = [_process_parent(t) for t in tasks]
+                for rows, (raw_p, canonised_p, children) in zip(parents, outputs):
+                    raw += raw_p
+                    canonised += canonised_p
+                    lhs += (
+                        canon.allowed_group_order(m - 1, n, "main")
+                        // level_reps[rows][0]
+                        * raw_p
+                    )
+                    for child_rows, stats in children.items():
+                        merged.setdefault(child_rows, stats)
+                level_reps = merged
+                rhs = _labeled_total(m, n, level_reps)
+                if lhs != rhs:
+                    raise DoubleCountError(
+                        f"level {m}x{n}: parent-side total {lhs} != child-side total {rhs}"
+                    )
+            _store_level(out_path, n, m, level_reps, raw)
+            results[m] = r = _make_result(m, n, level_reps, raw)
+            r.canonised = canonised
+            r.seconds = seconds = time.time() - t0
+            if progress:
+                print(
+                    f"  level {m}x{n}: {r.main_class_count} main classes, "
+                    f"total {r.total_labeled_count}, {canonised} canonised "
+                    f"({seconds:.1f}s)",
+                    flush=True,
                 )
-                for child_rows, stats in children.items():
-                    merged.setdefault(child_rows, stats)
-            level_reps = merged
-            rhs = _labeled_total(m, n, level_reps)
-            if lhs != rhs:
-                raise DoubleCountError(
-                    f"level {m}x{n}: parent-side total {lhs} != child-side total {rhs}"
-                )
-        _store_level(out_path, n, m, level_reps, raw)
-        results[m] = r = _make_result(m, n, level_reps, raw)
-        r.seconds = seconds = time.time() - t0
-        if progress:
-            print(
-                f"  level {m}x{n}: {r.main_class_count} main classes, "
-                f"total {r.total_labeled_count} ({seconds:.1f}s)",
-                flush=True,
-            )
-        if not level_reps:
-            # nothing to extend; all higher levels are empty
-            for mm in range(m + 1, m_max + 1):
-                results[mm] = _make_result(mm, n, {}, raw=0)
-            break
+            if not level_reps:
+                # nothing to extend; all higher levels are empty
+                for mm in range(m + 1, m_max + 1):
+                    results[mm] = _make_result(mm, n, {}, raw=0)
+                break
+    finally:
+        if pool is not None:
+            pool.terminate()
     return results
 
 

@@ -107,6 +107,28 @@ def test_cell_orbits_partition():
     assert len(cells) == 16 and len(set(cells)) == 16
 
 
+@pytest.mark.parametrize("kind, count", [("autotopism", 8), ("paratopism", 4)])
+def test_cell_orbits_match_the_closure_on_fig6(kind, count):
+    # the closure of each cell under the elements, grown until it is stable
+    s = fixtures.load("fig6")
+    group = canon.symmetry_group(s, kind)
+    assert len(group.elements) == group.order
+    closures = set()
+    for cell in itertools.product(range(s.m), range(s.n)):
+        orbit, frontier = {cell}, [cell]
+        while frontier:
+            r, c = frontier.pop()
+            for g in group.elements:
+                t = g.act_triple((r, c, s.rows[r][c]))
+                if t[:2] not in orbit:
+                    orbit.add(t[:2])
+                    frontier.append(t[:2])
+        closures.add(frozenset(orbit))
+    orbits = canon.cell_orbits(group, s)
+    assert len(orbits) == count == len(closures)
+    assert {frozenset(o) for o in orbits} == closures
+
+
 def test_allowed_group_order():
     assert canon.allowed_group_order(3, 5, "isotopy") == 6 * 120 * 120
     assert canon.allowed_group_order(3, 5, "main") == 6 * 120 * 120 * 2

@@ -1,14 +1,17 @@
 """Enumeration engine: unit pieces plus brute-force class-count equality."""
 
+import functools
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_rectangles
 from k33free import canon, generate
-from k33free.core import LatinError, LatinRectangle
+from k33free.core import CONJ_CL, CONJ_ID, LatinError, LatinRectangle, Paratopism, apply
 from k33free.pattern import is_k33_free
 
 
@@ -117,21 +120,73 @@ def _unreduced_children(parent_rows, n):
 
 @pytest.mark.parametrize("m, n, sample", [(3, 6, None), (4, 7, None), (4, 8, 12)])
 def test_orbit_reduction_keeps_every_child_class(m, n, sample):
+    # each child a parent canonises is one of its unreduced children, with the
+    # same stats; with all parents, their children are all the classes
     reps = generate.classify_column(n, m)[m].representatives
     if sample is not None:
         reps = random.Random(20260826).sample(reps, sample)
-    canon_calls = raw_total = 0
+    canonised = orbit_reps = raw_total = 0
+    reduced, unreduced = {}, {}
     for rep in reps:
-        raw, children = generate._process_parent((rep.rows, n))
-        assert (raw, children) == _unreduced_children(rep.rows, n)
+        raw, calls, children = generate._process_parent((rep.rows, n))
+        raw_all, children_all = _unreduced_children(rep.rows, n)
+        assert raw == raw_all and calls >= len(children)
+        assert all(children_all.get(form) == stats for form, stats in children.items())
+        reduced.update(children)
+        unreduced.update(children_all)
         stab = canon.canonical_with_stabilizer(rep)
         assert len(stab.elements) == stab.order
         g = generate.compatibility_graph(rep, generate.candidates(rep))
         rows = generate.cliques_of_size(g, n)
-        canon_calls += len(generate._orbit_representatives(rows, stab.elements))
+        orbit_reps += len(generate._orbit_representatives(rows, stab.elements))
+        canonised += calls
         raw_total += raw
-    # the reduction did remove work on these parents
-    assert canon_calls < raw_total
+    if sample is None:
+        assert reduced == unreduced
+    # both the orbit reduction and the row filter removed work on these parents
+    assert canonised < orbit_reps < raw_total
+
+
+def _row_invariants(s):
+    """Per row, the sorted cycle types linking it to the other rows."""
+    pos = s.column_positions()
+    return [
+        sorted(generate._link_type(pos[r], s.rows[o]) for o in range(s.m) if o != r)
+        for r in range(s.m)
+    ]
+
+
+@functools.cache
+def _children_4x7():
+    """(parent, new row) for every new row of every 3x7 representative."""
+    out = []
+    for parent in generate.classify_column(7, 3)[3].representatives:
+        g = generate.compatibility_graph(parent, generate.candidates(parent))
+        out.extend((parent, row) for row in generate.cliques_of_size(g, 7))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_row_invariant_is_kept_by_isotopy_and_cl_conjugation(data):
+    children = _children_4x7()
+    parent, row = children[data.draw(st.integers(0, len(children) - 1))]
+    child = LatinRectangle(parent.rows + (row,))
+    rho = data.draw(st.permutations(range(4)))
+    p = Paratopism(
+        tuple(rho),
+        tuple(data.draw(st.permutations(range(7)))),
+        tuple(data.draw(st.permutations(range(7)))),
+        data.draw(st.sampled_from([CONJ_ID, CONJ_CL])),
+    )
+    image = apply(p, child)
+    invs = _row_invariants(image)
+    assert [invs[rho[r]] for r in range(4)] == _row_invariants(child)
+    # the filter's verdict follows the new row to its image
+    new = rho[3]
+    image_parent = LatinRectangle(image.rows[:new] + image.rows[new + 1:])
+    verdict = generate._new_row_test(image_parent)(image.rows[new])
+    assert verdict == generate._new_row_test(parent)(row)
 
 
 def test_checkpoint_resume_equivalence(tmp_path):
