@@ -99,6 +99,15 @@ def _cycles_of(perm: tuple[int, ...]) -> list[list[int]]:
     return cycles
 
 
+def _link_type(pos_a: list[int], row_b: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle type (ascending lengths) of the permutation linking two rows.
+
+    ``pos_a`` is the inverse of row a; the permutation c -> pos_a[row_b[c]]
+    and its inverse (the same pair read from b) have the same type.
+    """
+    return tuple(sorted(len(cy) for cy in _cycles_of([pos_a[l] for l in row_b])))
+
+
 @functools.cache
 def _centralizer_order(lengths: tuple[int, ...]) -> int:
     """Number of permutations commuting with one of this cycle type."""
@@ -152,25 +161,28 @@ class _Search:
         if m == 1:
             return self._run_single_row()
 
-        # gather (sigma, grid, pos, r0, r1, cycles) for the distinguished
-        # cycle type: fewest conjugating maps first (keeps the expansion
-        # small for squares rich in short cycles), then least cycle type;
-        # types_of[sigma][a][b] is the cycle type linking rows a and b
+        # gather (sigma, grid, pos, r0, r1) for the distinguished cycle type:
+        # fewest conjugating maps first (keeps the expansion small for
+        # squares rich in short cycles), then least cycle type.
+        # types_of[sigma[0]][a][b] is the link type of rows a and b; it is
+        # symmetric, and shared by the two conjugates with the same row
+        # coordinate (column<->letter turns a^-1 b into a b^-1, of one type)
         best_key: tuple | None = None
         group: list[tuple] = []
         types_of = {}
         for sigma, grid, pos in self.images:
-            types_of[sigma] = types = [[()] * m for _ in range(m)]
+            if sigma[0] not in types_of:
+                types_of[sigma[0]] = types = [[()] * m for _ in range(m)]
+                for a, b in itertools.combinations(range(m), 2):
+                    types[a][b] = types[b][a] = _link_type(pos[a], grid[b])
+            types = types_of[sigma[0]]
             for r0 in range(m):
-                pos0 = pos[r0]
                 for r1 in range(m):
                     if r1 == r0:
                         continue
-                    cycles = _cycles_of([pos0[l] for l in grid[r1]])
-                    lengths = tuple(sorted(len(cy) for cy in cycles))
-                    types[r0][r1] = lengths
+                    lengths = types[r0][r1]
                     key = (_centralizer_order(lengths), lengths)
-                    entry = (sigma, grid, pos, r0, r1, cycles)
+                    entry = (sigma, grid, pos, r0, r1)
                     if best_key is None or key < best_key:
                         best_key = key
                         group = [entry]
@@ -181,10 +193,10 @@ class _Search:
         # row-cycle refinement: keep the triples of least invariant
         invariants = [
             sorted(
-                (types_of[sg][r0][r], types_of[sg][r1][r])
+                (types_of[sg[0]][r0][r], types_of[sg[0]][r1][r])
                 for r in range(m) if r not in (r0, r1)
             )
-            for sg, _, _, r0, r1, _ in group
+            for sg, _, _, r0, r1 in group
         ]
         least = min(invariants)
 
@@ -208,14 +220,15 @@ class _Search:
 
     # -- expansion of one (sigma, r0, r1) triple ---------------------------
 
-    def _expand(self, t, sigma, grid, pos, r0, r1, cycles):
+    def _expand(self, t, sigma, grid, pos, r0, r1):
         m, n = self.m, self.n
+        pos0 = pos[r0]
+        cycles = _cycles_of([pos0[l] for l in grid[r1]])
         by_len: dict[int, list[list[int]]] = {}
         for cy in cycles:
             by_len.setdefault(len(cy), []).append(cy)
         lengths = sorted(len(cy) for cy in cycles)
 
-        pos0 = pos[r0]
         other_rows = [r for r in range(m) if r != r0 and r != r1]
         pis = {r: [pos0[l] for l in grid[r]] for r in other_rows}
 

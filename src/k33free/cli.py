@@ -63,17 +63,19 @@ class Report:
         self.data.update(fields)
 
     def emit(self, fmt: str) -> None:
+        """Print the report; in text mode write the manifest first, so a
+        failed write leaves stdout empty."""
         self.data["seconds"] = round(time.time() - self.t0, 3)
         if fmt == "json":
             print(json.dumps(self.data, indent=2, default=str))
-        else:
-            print("\n".join(self.lines))
-            work = os.environ.get("K33FREE_WORK_DIR")
-            if work:
-                Path(work).mkdir(parents=True, exist_ok=True)
-                stamp = time.strftime("%Y%m%d-%H%M%S")
-                name = f"{self.data['command']}-{stamp}-{os.getpid()}.json"
-                (Path(work) / name).write_text(json.dumps(self.data, default=str))
+            return
+        work = os.environ.get("K33FREE_WORK_DIR")
+        if work:
+            Path(work).mkdir(parents=True, exist_ok=True)
+            stamp = time.strftime("%Y%m%d-%H%M%S")
+            name = f"{self.data['command']}-{stamp}-{os.getpid()}.json"
+            (Path(work) / name).write_text(json.dumps(self.data, default=str))
+        print("\n".join(self.lines))
 
 
 def cmd_check(args, report: Report) -> int:
@@ -236,6 +238,14 @@ def cmd_find_free(args, report: Report) -> int:
     return 0
 
 
+def _fraction(text: str) -> Fraction:
+    """A rational number; a zero denominator is bad input like any other."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_function(path: str, s: LatinRectangle) -> spectral.CellFunction:
     values = {}
     for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -244,7 +254,7 @@ def _parse_function(path: str, s: LatinRectangle) -> spectral.CellFunction:
         try:
             r, c, v = line.split()
             r, c = int(r), int(c)
-            values[(r, c)] = Fraction(v)
+            values[(r, c)] = _fraction(v)
         except ValueError as exc:
             raise LatinError(f"{path}:{ln}: bad function line {line!r}") from exc
         if not (0 <= r < s.m and 0 <= c < s.n):
@@ -257,7 +267,7 @@ def cmd_verify_eigen(args, report: Report) -> int:
     report.hash_input(args.file)
     f = _parse_function(args.function, s)
     report.hash_input(args.function)
-    ok = spectral.check_eigenfunction(s, f, Fraction(args.theta))
+    ok = spectral.check_eigenfunction(s, f, _fraction(args.theta))
     report.say(f"eigenfunction at theta={args.theta}: {str(ok).lower()}",
                verified=ok, support=len(f.support))
     return 0 if ok else 1
@@ -311,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--long", action="store_true",
                     help="allow the n=9 column (minutes)")
     sp.add_argument("--stretch", action="store_true",
-                    help="allow the multi-day n>=10 columns")
+                    help="allow the n>=10 columns (CPU-hours; memory-bound)")
     sp.add_argument("--progress", action="store_true")
     sp.add_argument("--work-dir", default=os.environ.get("K33FREE_WORK_DIR"))
     sp.set_defaults(func=cmd_census)
@@ -369,10 +379,10 @@ def main(argv=None) -> int:
     })
     try:
         code = args.func(args, report)
+        report.emit(args.format)
     except (LatinError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.emit(args.format)
     return code
 
 

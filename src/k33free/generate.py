@@ -185,15 +185,6 @@ def _orbit_representatives(rows: list[tuple], stab: Sequence[Paratopism]) -> lis
     return kept
 
 
-def _link_type(pos_a: Sequence[int], row_b: Sequence[int]) -> tuple[int, ...]:
-    """Cycle type (ascending lengths) of the permutation linking two rows.
-
-    ``pos_a`` is the inverse of row a; the permutation c -> pos_a[row_b[c]]
-    and its inverse (the same pair read from b) have the same type.
-    """
-    return tuple(sorted(len(cy) for cy in canon._cycles_of([pos_a[l] for l in row_b])))
-
-
 def _new_row_test(parent: LatinRectangle):
     """The test a new row must pass before its child is canonised.
 
@@ -206,10 +197,11 @@ def _new_row_test(parent: LatinRectangle):
     if m + 1 == n:
         return lambda row: True
     pos = parent.column_positions()
-    base = [[_link_type(pos[a], parent.rows[b]) for b in range(m) if b != a] for a in range(m)]
+    base = [[canon._link_type(pos[a], parent.rows[b]) for b in range(m) if b != a]
+            for a in range(m)]
 
     def passes(row: tuple[int, ...]) -> bool:
-        types = [_link_type(p, row) for p in pos]
+        types = [canon._link_type(p, row) for p in pos]
         inv = sorted(types)
         return all(inv >= sorted(base[a] + [t]) for a, t in enumerate(types))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import LatinRectangle
+from .core import LatinRectangle, is_orthogonal
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,77 +115,55 @@ def find_induced_ktt(
     Vertices are the n^2 cells; two cells are adjacent iff they share a row,
     a column, or a letter in any of the squares.  Witnesses are returned as
     unordered part-pairs of t-cell sets.
+
+    Each witness is found once: its part A is the one holding its least
+    cell, and part B is drawn from the common neighbourhood of A above that
+    cell.  One walk finds both parts.
     """
     if t < 2:
         raise ValueError("t must be at least 2")
     if not squares:
         raise ValueError("need at least one square")
-    m, n = squares[0].m, squares[0].n
-    from .core import is_orthogonal
-
     for a, b in itertools.combinations(squares, 2):
         if not is_orthogonal(a, b):
             raise ValueError("input squares are not pairwise orthogonal")
 
+    # one bitmask per line: a row, a column, or one letter of one square
+    m, n = squares[0].m, squares[0].n
     cells = [(r, c) for r in range(m) for c in range(n)]
-    idx = {cell: i for i, cell in enumerate(cells)}
-    nv = len(cells)
-    adj = [0] * nv
+    lines_of = [[("row", r), ("col", c)] + [(k, sq.rows[r][c]) for k, sq in enumerate(squares)]
+                for r, c in cells]
+    line_mask: dict = {}
+    for i, lines in enumerate(lines_of):
+        for line in lines:
+            line_mask[line] = line_mask.get(line, 0) | 1 << i
+    adj = []
+    for i, lines in enumerate(lines_of):
+        mask = 0
+        for line in lines:
+            mask |= line_mask[line]
+        adj.append(mask & ~(1 << i))
 
-    def keys(cell):
-        r, c = cell
-        out = [("r", r), ("c", c)]
-        out.extend((i, sq.rows[r][c]) for i, sq in enumerate(squares))
-        return out
-
-    buckets: dict = {}
-    for cell in cells:
-        for k in keys(cell):
-            buckets.setdefault(k, []).append(idx[cell])
-    for members in buckets.values():
-        for i, j in itertools.combinations(members, 2):
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-
-    full = (1 << nv) - 1
-    witnesses: set[frozenset[frozenset[tuple[int, int]]]] = set()
-
-    def grow(part_a: list[int], cand_a: int, common: int):
-        if len(part_a) == t:
-            _complete_part(common, part_a)
+    def parts(cand: int, common: int, chosen: tuple[int, ...]):
+        """Each independent t-set made of ``chosen`` and cells of ``cand``, in
+        ascending order, with its common neighbourhood within ``common``,
+        which must hold at least t cells."""
+        if len(chosen) == t:
+            yield chosen, common
             return
-        c = cand_a
-        while c:
-            v = c & -c
-            i = v.bit_length() - 1
-            c ^= v
-            new_common = common & adj[i]
-            if bin(new_common).count("1") < t:
-                continue
-            # candidates after i: indices > i, non-adjacent to i
-            new_cand = c & ~adj[i]
-            grow(part_a + [i], new_cand, new_common)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            shared = common & adj[i]
+            if shared.bit_count() >= t:
+                yield from parts(cand & ~adj[i], shared, chosen + (i,))
 
-    def _complete_part(common: int, part_a: list[int]):
-        # enumerate independent t-subsets of `common`
-        members = []
-        c = common
-        while c:
-            v = c & -c
-            members.append(v.bit_length() - 1)
-            c ^= v
-        def rec(start: int, chosen: list[int]):
-            if len(chosen) == t:
-                pa = frozenset(cells[i] for i in part_a)
-                pb = frozenset(cells[i] for i in chosen)
-                witnesses.add(frozenset((pa, pb)))
-                return
-            for k in range(start, len(members)):
-                i = members[k]
-                if any(adj[i] >> j & 1 for j in chosen):
-                    continue
-                rec(k + 1, chosen + [i])
-        rec(0, [])
-
-    grow([], full, full)
+    full = (1 << len(cells)) - 1
+    witnesses: set[frozenset[frozenset[tuple[int, int]]]] = set()
+    for part_a, common in parts(full, full, ()):
+        above = common & ~((2 << part_a[0]) - 1)
+        for part_b, _ in parts(above, full, ()):
+            pair = (frozenset(cells[i] for i in part) for part in (part_a, part_b))
+            witnesses.add(frozenset(pair))
     return witnesses

@@ -105,31 +105,34 @@ def brute_force_oracle() -> dict[tuple[int, int], FreeRectangles]:
     return oracle
 
 
-def cell_graph_k33_parts(s: LatinRectangle) -> set[frozenset]:
-    """Naive induced-K3,3 search straight from the graph definition.
+def cell_graph_ktt_parts(squares, t: int) -> set[frozenset]:
+    """Naive induced-K_{t,t} search straight from the graph definition.
 
-    Vertices are cells, adjacent when they share a row, a column, or a
-    letter; returns every pair of independent triples with all nine
-    cross edges present, as {frozenset({partA, partB})}.
+    Vertices are the cells of the rectangles (all of one shape), adjacent
+    when they share a row, a column, or a letter in any of them; returns
+    every pair of independent t-sets with all t^2 cross edges present, as
+    {frozenset({partA, partB})}.
     """
-    cells = [(r, c) for r in range(s.m) for c in range(s.n)]
+    m, n = squares[0].m, squares[0].n
+    cells = [(r, c) for r in range(m) for c in range(n)]
+    adjacent = {
+        (a, b)
+        for a, b in itertools.permutations(cells, 2)
+        if a[0] == b[0] or a[1] == b[1]
+        or any(s.rows[a[0]][a[1]] == s.rows[b[0]][b[1]] for s in squares)
+    }
 
-    def adj(a, b):
-        return (
-            a != b
-            and (a[0] == b[0] or a[1] == b[1]
-                 or s.rows[a[0]][a[1]] == s.rows[b[0]][b[1]])
-        )
+    def independent(part):
+        return not any(pair in adjacent for pair in itertools.combinations(part, 2))
 
     out = set()
-    for a in itertools.combinations(cells, 3):
-        if adj(a[0], a[1]) or adj(a[0], a[2]) or adj(a[1], a[2]):
+    for a in itertools.combinations(cells, t):
+        if not independent(a):
             continue
-        rest = [x for x in cells if x not in a and all(adj(x, y) for y in a)]
-        for b in itertools.combinations(rest, 3):
-            if adj(b[0], b[1]) or adj(b[0], b[2]) or adj(b[1], b[2]):
-                continue
-            out.add(frozenset({frozenset(a), frozenset(b)}))
+        rest = [x for x in cells if all((x, y) in adjacent for y in a)]
+        for b in itertools.combinations(rest, t):
+            if independent(b):
+                out.add(frozenset({frozenset(a), frozenset(b)}))
     return out
 
 

@@ -111,11 +111,11 @@ def test_criterion_05_brute_force_oracle(brute_force_oracle):
 
 def test_criterion_06_pattern_oracle():
     with criterion(6, "find_k33 vs induced-subgraph search; group tables non-free"):
-        from conftest import cell_graph_k33_parts
+        from conftest import cell_graph_ktt_parts
 
         for shape in ((3, 3), (3, 4)):
             for s in all_rectangles(*shape):
-                assert {frozenset(w.parts) for w in find_k33(s)} == cell_graph_k33_parts(s)
+                assert {frozenset(w.parts) for w in find_k33(s)} == cell_graph_ktt_parts([s], 3)
         rng = random.Random(424242)
         for _ in range(10_000):
             m = rng.randint(2, 5)

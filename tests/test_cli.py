@@ -1,12 +1,20 @@
 """Command-line surface: outputs, formats, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k33free import cli, fixtures
-from k33free.core import parse, serialize, serialize_catalog
+from k33free.core import group_table, linear_square, parse, serialize, serialize_catalog
 
 
 @pytest.fixture
@@ -251,3 +259,126 @@ def test_manifest_written_to_work_dir(capsys, fx, tmp_path, monkeypatch):
     assert len(files) == 1
     data = json.loads(files[0].read_text())
     assert data["command"] == "check" and "seconds" in data
+
+
+def test_manifest_dir_that_is_a_file_is_an_input_error(capsys, fx, tmp_path, monkeypatch):
+    blocker = tmp_path / "runs"
+    blocker.write_text("")
+    monkeypatch.setenv("K33FREE_WORK_DIR", str(blocker))
+    assert one_line_error(capsys, "check", fx("z3")) == 2
+
+
+@pytest.mark.parametrize("value, theta", [("1/0", "-3"), ("1", "1/0")])
+def test_zero_denominator_is_an_input_error(capsys, fx, tmp_path, value, theta):
+    func = tmp_path / "f.txt"
+    func.write_text(f"0 0 {value}\n")
+    assert one_line_error(capsys, "verify-eigen", fx("z3"), "--function", str(func),
+                          "--theta", theta) == 2
+
+
+@given(st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(max_denominator=50),
+))
+@settings(max_examples=60)
+def test_eigenfunction_file_round_trip(values):
+    z3 = fixtures.load("z3")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.txt"
+        path.write_text("".join(f"{r} {c} {v}\n" for (r, c), v in values.items()))
+        assert cli._parse_function(str(path), z3).values == values
+
+
+# -- junk input: every subcommand exits 0, 1 or 2 and never raises -----------
+
+_SMALL = [fixtures.load("z3"), fixtures.load("fig2_a0"), fixtures.load("fig2_a1"),
+          fixtures.load("rect_4x5"), group_table("Z4"),
+          linear_square(5, 1, 1), linear_square(5, 1, 2)]
+_junk_words = st.sampled_from(["", "x", "-", "1/0", "0/0", "2.5", "1e3", "nan"])
+
+
+def _mostly(good, bad):
+    """``good`` three times in four, else ``bad``: several inputs of one
+    run must all be good for the run to get past parsing."""
+    return st.integers(0, 3).flatmap(lambda k: bad if k == 0 else good)
+
+
+def _number(lo, hi):
+    """A small integer in [lo, hi] as text, or a word that is not an integer."""
+    return _mostly(st.integers(lo, hi).map(str), _junk_words)
+
+
+def _lines(rows):
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+_cell = st.integers(-1, 3).map(str)
+# per kind of input file: well-formed texts (with numbers out of range), or
+# the same texts cut short, or noise
+_file_texts = {
+    "square": st.sampled_from([serialize(s) for s in _SMALL]),
+    "catalog": st.one_of(
+        st.sampled_from([_SMALL[1:3], _SMALL[5:7]]),  # orthogonal pairs
+        st.lists(st.sampled_from(_SMALL), min_size=1, max_size=3),
+    ).map(serialize_catalog),
+    "function": st.lists(st.tuples(_cell, _cell, _number(-2, 2)), max_size=4).map(_lines),
+    "switch": st.integers(2, 5).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from("01"), min_size=n, max_size=n), min_size=n, max_size=n,
+    )).map(_lines),
+}
+
+
+def _junk_file(kind):
+    text = _file_texts[kind]
+    whole = text.map(str.encode)
+    cut = st.tuples(whole, st.integers(0, 40)).map(lambda bc: bc[0][:bc[1]])
+    return _mostly(whole, st.one_of(cut, st.binary(max_size=12)))
+
+
+_jobs = st.sampled_from(["-1", "0", "1"])
+_ARGV = {
+    "check": lambda f, x: [f("square"), "--max-witnesses", x(_number(-2, 5))],
+    "enumerate": lambda f, x: ["--m", x(_number(-1, 5)), "--n", x(_number(-1, 5)),
+                               "--jobs", x(_jobs), "--out", f(None)],
+    "census": lambda f, x: ["--n-max", x(_number(-1, 5)), "--jobs", x(_jobs)],
+    "canon": lambda f, x: [f("square"), "--level", x(st.sampled_from(["main", "isotopy", "x"]))],
+    "symmetry": lambda f, x: [f("square"), "--kind",
+                              x(st.sampled_from(["autotopism", "paratopism", "x"]))],
+    "combine": lambda f, x: ["--a0", f("square"), "--a1", f("square"),
+                             *(["--switch", f("switch")] if x(st.booleans()) else [])],
+    "find-free": lambda f, x: ["--catalog", f("catalog"), "--order", x(_number(-1, 6)),
+                               "--out", f(None)],
+    "verify-eigen": lambda f, x: [f("square"), "--function", f("function"),
+                                  "--theta", x(_number(-4, 4))],
+    "min-trade": lambda f, x: [f("square"), "--cap", x(_number(-1, 5))],
+    "mols-check": lambda f, x: [f("catalog"), "--t", x(_number(-1, 5))],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_junk_input_exits_0_1_or_2_and_never_raises(command, data):
+    """``cli.main`` on junk files and numbers, with ``K33FREE_WORK_DIR``
+    unset, a fresh directory or a file; sizes stay tiny."""
+    with tempfile.TemporaryDirectory() as tmp:
+        def file(kind):
+            if kind is None:  # the path of an output
+                return f"{tmp}/out"
+            path = Path(tmp) / f"in{len(os.listdir(tmp))}.txt"
+            path.write_bytes(data.draw(_junk_file(kind)))
+            return str(path)
+
+        fmt = data.draw(st.sampled_from(["text", "json"]))
+        argv = ["--format", fmt, command, *_ARGV[command](file, data.draw)]
+        work = data.draw(st.sampled_from([None, f"{tmp}/work", file("square")]))
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            os.environ.pop("K33FREE_WORK_DIR", None)
+            if work is not None:
+                os.environ["K33FREE_WORK_DIR"] = work
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    assert code in (0, 1, 2), (argv, work)

@@ -127,3 +127,12 @@ def test_search_pipeline_skips_non_orthogonal():
 def test_switch_serialization_roundtrip():
     sw = fixtures.load_switch("fig5_switch")
     assert SwitchingMatrix.parse(sw.serialize()).bits == sw.bits
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)
+    .map(lambda vec: SwitchingMatrix.from_vector(n, vec))
+))
+@settings(max_examples=60)
+def test_switching_matrix_round_trip(sw):
+    assert SwitchingMatrix.parse(sw.serialize()) == sw

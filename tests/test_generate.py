@@ -4,6 +4,8 @@ import functools
 import itertools
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,20 @@ def test_engine_matches_brute_force_classification(n, brute_force_oracle):
         oracle = brute_force_oracle[(m, n)]
         assert col[m].main_class_count == len(oracle.forms), (m, n)
         assert col[m].total_labeled_count == oracle.labeled, (m, n)
+
+
+_rows = st.lists(st.lists(st.integers(0, 9), min_size=3, max_size=3).map(tuple),
+                 min_size=2, max_size=2).map(tuple)
+
+
+@given(st.dictionaries(_rows, st.tuples(st.integers(1, 10**12), st.integers(1, 6)),
+                       max_size=5),
+       st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_checkpoint_round_trip(reps, raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        generate._store_level(Path(tmp), 3, 2, reps, raw)
+        assert generate._load_level(Path(tmp), 3, 2) == (reps, raw)
 
 
 def test_double_count_error_is_raised_on_corruption(tmp_path, monkeypatch):
@@ -151,7 +167,7 @@ def _row_invariants(s):
     """Per row, the sorted cycle types linking it to the other rows."""
     pos = s.column_positions()
     return [
-        sorted(generate._link_type(pos[r], s.rows[o]) for o in range(s.m) if o != r)
+        sorted(canon._link_type(pos[r], s.rows[o]) for o in range(s.m) if o != r)
         for r in range(s.m)
     ]
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_rectangles, cell_graph_k33_parts, random_rectangle
+from conftest import all_rectangles, cell_graph_ktt_parts, random_rectangle
 from k33free import fixtures
 from k33free.combine import SwitchingMatrix, switched_combination
 from k33free.core import (
@@ -64,12 +64,12 @@ def assert_labelled_once(s):
 
 def test_exhaustive_3x3_matches_graph_oracle():
     for s in all_rectangles(3, 3):
-        assert parts_of(s) == cell_graph_k33_parts(s)
+        assert parts_of(s) == cell_graph_ktt_parts([s], 3)
 
 
 def test_exhaustive_3x4_matches_graph_oracle():
     for s in all_rectangles(3, 4):
-        assert parts_of(s) == cell_graph_k33_parts(s)
+        assert parts_of(s) == cell_graph_ktt_parts([s], 3)
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (3, 4)])
@@ -98,7 +98,7 @@ def test_random_rectangles_match_graph_oracle():
         m = rng.randint(2, 5)
         n = rng.randint(max(m, 3), 5)
         s = random_rectangle(rng, m, n)
-        assert parts_of(s) == cell_graph_k33_parts(s)
+        assert parts_of(s) == cell_graph_ktt_parts([s], 3)
 
 
 def test_witness_structure():
@@ -152,8 +152,15 @@ def test_find_induced_ktt_on_orthogonal_pair():
         assert len(a) == len(b) == 4
 
 
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_find_induced_ktt_matches_the_graph_definition_on_linear_pairs(t):
+    for s, u in itertools.combinations(range(1, 5), 2):
+        pair = (linear_square(5, 1, s), linear_square(5, 1, u))
+        assert find_induced_ktt(pair, t) == cell_graph_ktt_parts(pair, t), (s, u)
+
+
 def test_find_induced_ktt_rejects_non_orthogonal():
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="not pairwise orthogonal"):
         find_induced_ktt((group_table("Z4"), group_table("Z4")), 3)
 
 
