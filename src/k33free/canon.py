@@ -340,9 +340,16 @@ class Stabilized(NamedTuple):
     isotopy_classes: int  # isotopy classes in the main class (1 at isotopy level)
 
 
+def canonical_with_order(
+    s: LatinRectangle, level: Level = "main"
+) -> tuple[LatinRectangle, int, int]:
+    """(canonical form, stabilizer order, isotopy classes), with no element list."""
+    return _Search(s, level).run()
+
+
 def canonical_form(s: LatinRectangle, level: Level = "main") -> LatinRectangle:
     """Distinguished class representative; idempotent."""
-    return _Search(s, level).run()[0]
+    return canonical_with_order(s, level)[0]
 
 
 def canonical_with_stabilizer(s: LatinRectangle, level: Level = "main") -> Stabilized:

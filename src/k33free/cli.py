@@ -99,7 +99,8 @@ def _level_fields(column: dict[int, generate.ClassificationResult]) -> list[dict
     """The manifest entry of each level of a census column."""
     return [
         {"m": m, "n": res.n, "raw_extensions": res.raw_extensions,
-         "canonised": res.canonised, "seconds": round(res.seconds, 3)}
+         "canonised": res.canonised, "certified": res.certified,
+         "seconds": round(res.seconds, 3)}
         for m, res in sorted(column.items())
     ]
 

@@ -4,8 +4,8 @@ One level extends every main-class representative of K3,3-free m-by-n
 rectangles by a row: candidate cells, a compatibility graph whose extra
 clause kills every pair that would close a K3,3 with the existing rows,
 and size-n cliques (one candidate per column) as the new rows, one per
-orbit of the parent's stabilizer.  Children are deduplicated by main-level
-canonical form and keep their stabilizer order and isotopy class count.
+orbit of the parent's stabilizer.  Each class keeps one representative
+with its stabilizer order and isotopy class count.
 
 Before a child with fewer rows than columns is canonised, its new row must
 pass a cheap test (McKay, "Isomorph-free exhaustive generation", J.
@@ -21,6 +21,20 @@ the image of d in P + row, or any image of it under the stabilizer of P,
 is then a greatest new row.  Squares (m = n) are not filtered: conjugations
 there move rows.
 
+A new row whose invariant is the only greatest one is accepted with no
+canon call (certified acceptance, McKay 1998).  Every automorphism of the
+child C = P + r keeps rows and invariants, so it fixes r and restricts to an
+automorphism of P: Aut(C) is the stabilizer of r in Aut(P), of order
+|Aut(P)| / |orbit of r|, and its conjugations give the isotopy count.  Such
+a class arises from one parent only (P is the representative of C - r, r
+the unique greatest row) and from one orbit (an isomorphism P + r -> P + r'
+between two such children maps r to r' and fixes P), so it needs no
+deduplication; its multiset of row invariants keeps it apart from the
+classes with a tie, which are canonised and deduplicated by canonical form.
+Certified children keep the rows P + r as their representative, which is
+then not a canonical form.  Squares, and the children of a parent whose
+stabilizer element list was cut at ``canon.ELEMENT_CAP``, are canonised.
+
 Each level is validated by counting all labeled rectangles two ways (from
 parent orbits times raw extension counts, and from child orbits); any
 disagreement raises.
@@ -31,13 +45,17 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import factorial
 from multiprocessing import Pool
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import canon
-from .core import CONJ_ID, LatinError, LatinRectangle, Paratopism
+from .core import CONJ_ID, LatinError, LatinRectangle, Paratopism, shape_preserving_conjs
+
+#: least seconds between two ``progress`` lines while a level runs
+HEARTBEAT_S = 30
 
 
 class Candidate(NamedTuple):
@@ -143,6 +161,7 @@ class ClassificationResult:
     raw_extensions: int  # cliques found while extending the previous level
     seconds: float = 0.0  # the whole level, checkpoint and isotopy counts included
     canonised: int = 0  # child canon calls made in this run (0 if loaded)
+    certified: int = 0  # children accepted with no canon call in this run (0 if loaded)
 
 
 class DoubleCountError(RuntimeError):
@@ -159,60 +178,97 @@ def _derangements(n: int) -> int:
 ClassStats = tuple[int, int]  # (stabilizer order, isotopy classes) of a class
 
 
-def _orbit_representatives(rows: list[tuple], stab: Sequence[Paratopism]) -> list[tuple]:
+class Extension(NamedTuple):
+    """What extending one parent gives."""
+
+    raw: int  # new rows found
+    canonised: int  # children canonised
+    certified: dict[tuple, ClassStats]  # children accepted with no canon call, by rows
+    children: dict[tuple, ClassStats]  # the canonised children, by canonical form
+
+
+def _orbit_representatives(
+    rows: list[tuple], stab: Sequence[Paratopism]
+) -> list[tuple[tuple[int, ...], int, set]]:
     """The first new row of each orbit of the parent's stabilizer ``stab``.
 
-    ``stab`` must be complete.  Its elements fix the parent rows, so each
-    maps a child to the child with the image row; marking every image of a
-    kept row costs orbits x |stab| instead of rows x |stab|.
+    Each comes with the size of its orbit and the conjugations of the
+    elements that fix it.  ``stab`` must be complete.  Its elements fix the
+    parent rows, so each maps a child to the child with the image row;
+    marking every image of a kept row costs orbits x |stab| instead of
+    rows x |stab|.  Orbits are disjoint, so an orbit's size is the number of
+    images it adds to ``seen``.
     """
-    actions = [(g.gamma, g.lam, g.conj != CONJ_ID) for g in stab]
     seen: set[tuple[int, ...]] = set()
     kept = []
     for row in rows:
         if row in seen:
             continue
-        kept.append(row)
-        for gamma, lam, swap in actions:
+        before = len(seen)
+        fixing: set[tuple[int, int, int]] = set()
+        for g in stab:
+            gamma, lam = g.gamma, g.lam
             image = [0] * len(row)
-            if swap:
+            if g.conj != CONJ_ID:
                 for c, l in enumerate(row):
                     image[gamma[l]] = lam[c]
             else:
                 for c, l in enumerate(row):
                     image[gamma[c]] = lam[l]
-            seen.add(tuple(image))
+            image = tuple(image)
+            seen.add(image)
+            if image == row:
+                fixing.add(g.conj)
+        kept.append((row, len(seen) - before, fixing))
     return kept
 
 
+#: verdicts of the new-row test: the child is dropped, canonised, or certified;
+#: a verdict is true iff the row passes
+FAILS, TIES, ONLY_GREATEST = 0, 1, 2
+
+
 def _new_row_test(parent: LatinRectangle):
-    """The test a new row must pass before its child is canonised.
+    """The verdict on a new row, from its invariant against the other rows'.
 
     The invariant of a row is the sorted list of its link types to the other
-    rows, and the new row's must be the greatest among the child's rows; the
-    parent's pair types are computed once, and m types per new row.  A child
-    that is a square is not tested: conjugations there move rows.
+    rows.  A new row whose invariant is less than another row's ``FAILS``;
+    one whose invariant equals another's ``TIES``; else it is the
+    ``ONLY_GREATEST``.  The parent's pair types are computed at the first
+    row tested, each unordered pair once, and m types per new row.  A child
+    that is a square always ``TIES``: conjugations there move rows.
     """
     m, n = parent.m, parent.n
     if m + 1 == n:
-        return lambda row: True
+        return lambda row: TIES
     pos = parent.column_positions()
-    base = [[canon._link_type(pos[a], parent.rows[b]) for b in range(m) if b != a]
-            for a in range(m)]
+    base: list[list[tuple[int, ...]]] = []
 
-    def passes(row: tuple[int, ...]) -> bool:
+    def verdict(row: tuple[int, ...]) -> int:
+        if not base:
+            base.extend([] for _ in range(m))
+            for a, b in combinations(range(m), 2):
+                t = canon._link_type(pos[a], parent.rows[b])
+                base[a].append(t)
+                base[b].append(t)
         types = [canon._link_type(p, row) for p in pos]
         inv = sorted(types)
-        return all(inv >= sorted(base[a] + [t]) for a, t in enumerate(types))
+        out = ONLY_GREATEST
+        for a, t in enumerate(types):
+            other = sorted(base[a] + [t])
+            if other > inv:
+                return FAILS
+            if other == inv:
+                out = TIES
+        return out
 
-    return passes
+    return verdict
 
 
-def _process_parent(args) -> tuple[int, int, dict[tuple, ClassStats]]:
-    """Extend one parent representative; dedupe children by canonical form.
+def _process_parent(args) -> Extension:
+    """Extend one parent representative: certify or canonise its children.
 
-    Returns the raw extension count, the number of children canonised and
-    the children's classes.
+    Canonised children are deduplicated by canonical form within the parent.
     """
     parent_rows, n = args
     parent = LatinRectangle(parent_rows)
@@ -220,27 +276,36 @@ def _process_parent(args) -> tuple[int, int, dict[tuple, ClassStats]]:
     rows = cliques_of_size(g, n)
     raw = len(rows)
 
-    # the test's pass set is closed under the parent's stabilizer, so it can
-    # follow the orbit reduction; a parent with no passing row is spared its
+    # the verdicts are kept by the parent's stabilizer, so they can follow
+    # the orbit reduction; a parent with no passing row is spared its
     # stabilizer, at the cost of a scan up to the first passing row
-    passes = _new_row_test(parent)
-    if any(map(passes, rows)):
+    verdict = _new_row_test(parent)
+    certified: dict[tuple, ClassStats] = {}
+    if any(map(verdict, rows)):
         stab = canon.canonical_with_stabilizer(parent, "main")
         if len(stab.elements) == stab.order:
-            rows = _orbit_representatives(rows, stab.elements)
-        rows = [row for row in rows if passes(row)]
+            conjs = len(shape_preserving_conjs(parent.m + 1, n))
+            kept = []
+            for row, orbit, fixing in _orbit_representatives(rows, stab.elements):
+                v = verdict(row)
+                if v == ONLY_GREATEST:
+                    certified[parent_rows + (row,)] = (stab.order // orbit, conjs // len(fixing))
+                elif v == TIES:
+                    kept.append(row)
+            rows = kept
+        else:
+            rows = [row for row in rows if verdict(row)]
     else:
         rows = []
 
     children: dict[tuple, ClassStats] = {}
     for row in rows:
-        child = LatinRectangle(parent_rows + (row,))
-        form, order, _, iso = canon.canonical_with_stabilizer(child, "main")
+        form, order, iso = canon.canonical_with_order(LatinRectangle(parent_rows + (row,)))
         children.setdefault(form.rows, (order, iso))
-    return raw, len(rows), children
+    return Extension(raw, len(rows), certified, children)
 
 
-def _two_row_reps(n: int) -> tuple[int, int, dict[tuple, ClassStats]]:
+def _two_row_reps(n: int) -> Extension:
     """Extend the identity row as :func:`_process_parent` does, without cliques.
 
     The second rows are the derangements and the main classes their cycle
@@ -251,8 +316,7 @@ def _two_row_reps(n: int) -> tuple[int, int, dict[tuple, ClassStats]]:
     def partitions(remaining: int, min_part: int, acc: tuple[int, ...]):
         if remaining == 0:
             row1 = canon._type_row(acc)
-            rect = LatinRectangle((tuple(range(n)), row1))
-            form, order, _, iso = canon.canonical_with_stabilizer(rect, "main")
+            form, order, iso = canon.canonical_with_order(LatinRectangle((tuple(range(n)), row1)))
             reps[form.rows] = (order, iso)
             return
         for p in range(min_part, remaining + 1):
@@ -260,7 +324,7 @@ def _two_row_reps(n: int) -> tuple[int, int, dict[tuple, ClassStats]]:
                 partitions(remaining - p, p, acc + (p,))
 
     partitions(n, 2, ())
-    return _derangements(n), len(reps), reps
+    return Extension(_derangements(n), len(reps), {}, reps)
 
 
 def classify_column(
@@ -273,7 +337,9 @@ def classify_column(
     """Classify K3,3-free m-by-n rectangles for every m up to m_max.
 
     With ``out_dir`` set, finished levels are persisted and reloaded on a
-    rerun (resume support for long columns).
+    rerun (resume support for long columns).  With ``progress`` set, each
+    level prints one line when it ends, and while it runs, at most once per
+    ``HEARTBEAT_S`` seconds, the parents done so far.
     """
     if not (1 <= m_max <= n):
         raise ValueError("need 1 <= m_max <= n")
@@ -294,7 +360,7 @@ def classify_column(
     try:
         for m in range(2, m_max + 1):
             t0 = time.time()
-            canonised = 0
+            canonised = certified = 0
             cached = _load_level(out_path, n, m)
             if cached is not None:
                 level_reps, raw = cached
@@ -309,19 +375,25 @@ def classify_column(
                 elif jobs > 1:
                     if pool is None:
                         pool = Pool(jobs)
-                    outputs = pool.map(_process_parent, tasks, chunksize=1)
+                    outputs = pool.imap(_process_parent, tasks, chunksize=1)
                 else:
-                    outputs = [_process_parent(t) for t in tasks]
-                for rows, (raw_p, canonised_p, children) in zip(parents, outputs):
-                    raw += raw_p
-                    canonised += canonised_p
+                    outputs = map(_process_parent, tasks)
+                beat = t0
+                for done, (rows, ext) in enumerate(zip(parents, outputs), 1):
+                    raw += ext.raw
+                    canonised += ext.canonised
+                    certified += len(ext.certified)
                     lhs += (
                         canon.allowed_group_order(m - 1, n, "main")
                         // level_reps[rows][0]
-                        * raw_p
+                        * ext.raw
                     )
-                    for child_rows, stats in children.items():
+                    for child_rows, stats in chain(ext.certified.items(), ext.children.items()):
                         merged.setdefault(child_rows, stats)
+                    if progress and time.time() - beat >= HEARTBEAT_S:
+                        beat = time.time()
+                        print(f"  level {m}x{n}: {done}/{len(parents)} parents "
+                              f"({beat - t0:.1f}s)", flush=True)
                 level_reps = merged
                 rhs = _labeled_total(m, n, level_reps)
                 if lhs != rhs:
@@ -330,13 +402,13 @@ def classify_column(
                     )
             _store_level(out_path, n, m, level_reps, raw)
             results[m] = r = _make_result(m, n, level_reps, raw)
-            r.canonised = canonised
+            r.canonised, r.certified = canonised, certified
             r.seconds = seconds = time.time() - t0
             if progress:
                 print(
                     f"  level {m}x{n}: {r.main_class_count} main classes, "
-                    f"total {r.total_labeled_count}, {canonised} canonised "
-                    f"({seconds:.1f}s)",
+                    f"total {r.total_labeled_count}, {canonised} canonised, "
+                    f"{certified} certified ({seconds:.1f}s)",
                     flush=True,
                 )
             if not level_reps:
@@ -372,9 +444,10 @@ def _make_result(m: int, n: int, reps: dict[tuple, ClassStats], raw: int) -> Cla
 
 # -- level persistence -------------------------------------------------------
 
-#: layout and canonical forms of ``level_MxN.json``; version 2 added the
-#: per-class isotopy count and the row-cycle refined canonical forms
-CHECKPOINT_VERSION = 2
+#: layout and representatives of ``level_MxN.json``; version 2 added the
+#: per-class isotopy count and the row-cycle refined canonical forms, version
+#: 3 the certified representatives, which are not canonical forms
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(ValueError):

@@ -82,9 +82,11 @@ def test_json_manifest_lists_every_level(capsys, argv, shapes):
     assert code == 0 and [(lv["m"], lv["n"]) for lv in levels] == shapes
     for lv in levels:
         assert lv["raw_extensions"] >= 0 and lv["seconds"] >= 0
-        # a level with new rows canonises at least one child, at most one per row
-        assert (lv["canonised"] > 0) == (lv["raw_extensions"] > 0)
-        assert lv["canonised"] <= lv["raw_extensions"]
+        # a level with new rows canonises or certifies at least one child, at
+        # most one per row
+        accepted = lv["canonised"] + lv["certified"]
+        assert (accepted > 0) == (lv["raw_extensions"] > 0)
+        assert accepted <= lv["raw_extensions"]
     # the second rows of a 2xn level are the derangements of n letters
     derangements = {3: 2, 4: 9, 6: 265}
     assert all(lv["raw_extensions"] == derangements[lv["n"]] for lv in levels if lv["m"] == 2)
@@ -95,8 +97,9 @@ def test_json_manifest_counts_no_canon_call_for_a_loaded_level(capsys, tmp_path)
             "--work-dir", str(tmp_path))
     fresh = json.loads(run(capsys, *argv)[1])["levels"]
     resumed = json.loads(run(capsys, *argv)[1])["levels"]
-    assert fresh[0]["canonised"] == 0 and all(lv["canonised"] > 0 for lv in fresh[1:])
-    assert [lv["canonised"] for lv in resumed] == [0, 0, 0, 0]
+    accepted = [lv["canonised"] + lv["certified"] for lv in fresh]
+    assert accepted[0] == 0 and all(accepted[1:])
+    assert [(lv["canonised"], lv["certified"]) for lv in resumed] == [(0, 0)] * 4
     assert [lv["raw_extensions"] for lv in resumed] == [lv["raw_extensions"] for lv in fresh]
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_rectangles
-from k33free import canon, generate
+from k33free import canon, generate, tables
 from k33free.core import CONJ_CL, CONJ_ID, LatinError, LatinRectangle, Paratopism, apply
 from k33free.pattern import is_k33_free
 
@@ -98,7 +98,9 @@ def test_double_count_error_is_raised_on_corruption(tmp_path, monkeypatch):
         generate.classify_column(5, 3, out_dir=tmp_path)
 
 
-@pytest.mark.parametrize("version", [None, 1, generate.CHECKPOINT_VERSION + 1])
+@pytest.mark.parametrize(
+    "version", [None, 1, generate.CHECKPOINT_VERSION - 1, generate.CHECKPOINT_VERSION + 1]
+)
 def test_checkpoint_of_another_version_is_rejected(tmp_path, version):
     generate.classify_column(5, 3, out_dir=tmp_path)
     f = tmp_path / "level_3x5.json"
@@ -136,17 +138,24 @@ def _unreduced_children(parent_rows, n):
 
 @pytest.mark.parametrize("m, n, sample", [(3, 6, None), (4, 7, None), (4, 8, 12)])
 def test_orbit_reduction_keeps_every_child_class(m, n, sample):
-    # each child a parent canonises is one of its unreduced children, with the
-    # same stats; with all parents, their children are all the classes
+    # each child a parent canonises or certifies is one of its unreduced
+    # children, with the same stats; with all parents, their children are all
+    # the classes
     reps = generate.classify_column(n, m)[m].representatives
     if sample is not None:
         reps = random.Random(20260826).sample(reps, sample)
-    canonised = orbit_reps = raw_total = 0
+    processed = certified = orbit_reps = raw_total = 0
     reduced, unreduced = {}, {}
     for rep in reps:
-        raw, calls, children = generate._process_parent((rep.rows, n))
+        ext = generate._process_parent((rep.rows, n))
         raw_all, children_all = _unreduced_children(rep.rows, n)
-        assert raw == raw_all and calls >= len(children)
+        assert ext.raw == raw_all and ext.canonised >= len(ext.children)
+        # a certified child is keyed by its rows, not by its canonical form
+        children = dict(ext.children)
+        for rows, stats in ext.certified.items():
+            form = canon.canonical_form(LatinRectangle(rows)).rows
+            assert form not in children
+            children[form] = stats
         assert all(children_all.get(form) == stats for form, stats in children.items())
         reduced.update(children)
         unreduced.update(children_all)
@@ -155,12 +164,56 @@ def test_orbit_reduction_keeps_every_child_class(m, n, sample):
         g = generate.compatibility_graph(rep, generate.candidates(rep))
         rows = generate.cliques_of_size(g, n)
         orbit_reps += len(generate._orbit_representatives(rows, stab.elements))
-        canonised += calls
-        raw_total += raw
+        processed += ext.canonised + len(ext.certified)
+        certified += len(ext.certified)
+        raw_total += ext.raw
     if sample is None:
         assert reduced == unreduced
-    # both the orbit reduction and the row filter removed work on these parents
-    assert canonised < orbit_reps < raw_total
+    # both the orbit reduction and the row filter removed work on these parents,
+    # and some children were accepted with no canon call
+    assert processed < orbit_reps < raw_total
+    assert certified > 0
+
+
+def _certified_children(n, m):
+    """(rows, stats) of every child certified at level m of column n."""
+    out = []
+    for parent in generate.classify_column(n, m - 1)[m - 1].representatives:
+        out.extend(generate._process_parent((parent.rows, n)).certified.items())
+    return out
+
+
+@pytest.mark.parametrize("n, levels, sample", [
+    (6, range(3, 6), None),  # columns 4 and 5 certify no child
+    (7, range(3, 7), None),
+    (8, (4,), 40),
+    (8, (5,), 40),
+])
+def test_certified_stats_match_the_stabilizer_search(n, levels, sample):
+    # a certified child's stabilizer order and isotopy count come from its
+    # parent's stabilizer; the full search on the child must give the same
+    children = [child for m in levels for child in _certified_children(n, m)]
+    if sample is not None:
+        assert len(children) > sample
+        children = random.Random(20261019).sample(children, sample)
+    assert children
+    for rows, (order, iso) in children:
+        stab = canon.canonical_with_stabilizer(LatinRectangle(rows))
+        assert (stab.order, stab.isotopy_classes) == (order, iso), rows
+
+
+def test_cut_element_lists_fall_back_to_canonisation(monkeypatch):
+    # a parent whose element list is cut keeps no orbit reduction and certifies
+    # nothing: all its passing children are canonised and deduplicated
+    full = generate.classify_column(7, 7)
+    monkeypatch.setattr(canon, "ELEMENT_CAP", 2)
+    cut = generate.classify_column(7, 7)
+    for m in range(3, 8):
+        exp = tables.expected(m, 7)
+        got = (cut[m].main_class_count, cut[m].isotopy_class_count, cut[m].total_labeled_count)
+        assert got == (exp.main, exp.iso, exp.total), m
+    assert sum(r.canonised for r in cut.values()) > sum(r.canonised for r in full.values())
+    assert sum(r.certified for r in cut.values()) < sum(r.certified for r in full.values())
 
 
 def _row_invariants(s):
@@ -225,10 +278,36 @@ def test_jobs_parallel_equivalence():
         assert [r.rows for r in serial[m].representatives] == [
             r.rows for r in parallel[m].representatives
         ]
+        counters = ("raw_extensions", "canonised", "certified")
+        assert [getattr(serial[m], c) for c in counters] == [
+            getattr(parallel[m], c) for c in counters
+        ]
 
 
-def test_representatives_are_canonical_and_free():
-    col = generate.classify_column(6, 4)
-    for rep in col[4].representatives:
-        assert is_k33_free(rep)
-        assert canon.canonical_form(rep).rows == rep.rows
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_progress_heartbeat_counts_the_parents(monkeypatch, capsys, jobs):
+    # with no wait between heartbeats every parent is reported, in order
+    monkeypatch.setattr(generate, "HEARTBEAT_S", 0)
+    col = generate.classify_column(6, 4, jobs=jobs, progress=True)
+    lines = capsys.readouterr().out.splitlines()
+    for m in (2, 3, 4):
+        parents = col[m - 1].main_class_count
+        beats = [ln.split()[2] for ln in lines
+                 if ln.startswith(f"  level {m}x6: ") and " parents (" in ln]
+        assert beats == [f"{k}/{parents}" for k in range(1, parents + 1)], m
+        assert any(ln.startswith(f"  level {m}x6: {col[m].main_class_count} main classes")
+                   for ln in lines)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_representatives_are_free_and_pairwise_non_isomorphic(n):
+    # certified representatives are class members, not canonical forms; the
+    # squares are always canonised, so their representatives are canonical
+    col = generate.classify_column(n, n)
+    for m in range(2, n + 1):
+        forms = set()
+        for rep in col[m].representatives:
+            assert is_k33_free(rep)
+            forms.add(canon.canonical_form(rep).rows)
+        assert len(forms) == col[m].main_class_count, (m, n)
+    assert all(canon.canonical_form(rep).rows == rep.rows for rep in col[n].representatives)
