@@ -9,7 +9,10 @@ For orthogonal inputs every K3,3 witness of a combination spans exactly
 six blocks, and flipping the parity of a witness's six-block footprint
 destroys it.  Killing every witness of the 0-combination is therefore a
 linear system over GF(2): one equation per footprint, asking for odd
-switching parity on its blocks.
+switching parity on its blocks.  A footprint is carried from the witness
+scan to the system as one int bit mask over the n*n switching variables
+(bit i*n + j is block (i, j)), which is also the equation's row word; its
+set of block coordinates is derived from the mask only when asked for.
 """
 
 from __future__ import annotations
@@ -62,10 +65,23 @@ class SwitchingMatrix:
 
 @dataclass(frozen=True, slots=True)
 class BlockPattern:
-    """Six-block footprint of a K3,3 witness of the 0-combination."""
+    """The block footprint of a K3,3 witness of the 0-combination.
 
-    blocks: frozenset[tuple[int, int]]
+    ``mask`` has bit ``i*n + j`` set when the witness has a cell in block
+    (i, j) of the order-n switching matrix, which is the GF(2) support of
+    the witness's equation.  Ints are not tracked by the cyclic GC, so tens
+    of thousands of footprints cost it nothing; ``blocks`` spells the mask
+    out as a set of (i, j) block coordinates.
+    """
+
     witness: PatternOccurrence
+    mask: int
+    n: int
+
+    @property
+    def blocks(self) -> frozenset[tuple[int, int]]:
+        n, mask = self.n, self.mask
+        return frozenset(divmod(b, n) for b in range(n * n) if mask >> b & 1)
 
 
 def switched_combination(
@@ -95,18 +111,26 @@ def block_patterns(
 
     Orthogonal inputs force every footprint to exactly six blocks; a
     smaller footprint is returned as-is and certifies non-orthogonality.
+    A witness's cells are (r1, c2), (r1, c3), (r2, c3), (r2, c1), (r3, c1)
+    and (r3, c2), so its mask is read off its rows and columns: the block
+    row of row r starts at bit ``shift[r]``, and column c sets ``col_bit[c]``
+    within it.
     """
     orthogonal = is_orthogonal(pair[0], pair[1])
+    n = pair[0].n
+    shift = [i // 2 * n for i in range(2 * n)]
+    col_bit = [1 << j // 2 for j in range(2 * n)]
     out = []
     for w in find_k33(zero_comb):
-        # copied from a set, the frozenset gets a table sized to its six
-        # members, a third smaller than one grown from an iterator
-        blocks = frozenset({(i // 2, j // 2) for i, j in w.cells})
-        if orthogonal and len(blocks) != 6:
+        r1, r2, r3 = w.rows
+        c1, c2, c3 = w.cols
+        b1, b2, b3 = col_bit[c1], col_bit[c2], col_bit[c3]
+        mask = (b2 | b3) << shift[r1] | (b3 | b1) << shift[r2] | (b1 | b2) << shift[r3]
+        if orthogonal and mask.bit_count() != 6:
             raise LatinError(
-                f"orthogonal pair produced a {len(blocks)}-block witness"
+                f"orthogonal pair produced a {mask.bit_count()}-block witness"
             )
-        out.append(BlockPattern(blocks, w))
+        out.append(BlockPattern(w, mask, n))
     return out
 
 
@@ -114,9 +138,11 @@ def build_system(patterns: Iterable[BlockPattern], n: int) -> Gf2System:
     """One equation per footprint: odd switching parity on its six blocks."""
     sys = Gf2System(n_vars=n * n)
     for p in patterns:
-        if len(p.blocks) != 6:
+        if p.mask.bit_count() != 6:
             raise LatinError("footprint does not span six blocks")
-        sys.add_row((i * n + j for i, j in p.blocks), 1)
+        if p.n != n:
+            raise LatinError(f"footprint of order {p.n}, expected {n}")
+        sys.add_word(p.mask, 1)
     return sys
 
 

@@ -268,9 +268,12 @@ def _new_row_test(parent: LatinRectangle):
 def _process_parent(args) -> Extension:
     """Extend one parent representative: certify or canonise its children.
 
-    Canonised children are deduplicated by canonical form within the parent.
+    ``args`` is (rows, n, stabilizer order as stored with the parent's
+    level).  A parent of order 1 has the identity as its whole stabilizer,
+    so it needs no stabilizer search.  Canonised children are deduplicated
+    by canonical form within the parent.
     """
-    parent_rows, n = args
+    parent_rows, n, order = args
     parent = LatinRectangle(parent_rows)
     g = compatibility_graph(parent, candidates(parent))
     rows = cliques_of_size(g, n)
@@ -282,14 +285,19 @@ def _process_parent(args) -> Extension:
     verdict = _new_row_test(parent)
     certified: dict[tuple, ClassStats] = {}
     if any(map(verdict, rows)):
-        stab = canon.canonical_with_stabilizer(parent, "main")
-        if len(stab.elements) == stab.order:
+        if order == 1:
+            identity = tuple(range(n))
+            elements = [Paratopism(tuple(range(parent.m)), identity, identity)]
+        else:
+            stab = canon.canonical_with_stabilizer(parent, "main")
+            order, elements = stab.order, stab.elements
+        if len(elements) == order:
             conjs = len(shape_preserving_conjs(parent.m + 1, n))
             kept = []
-            for row, orbit, fixing in _orbit_representatives(rows, stab.elements):
+            for row, orbit, fixing in _orbit_representatives(rows, elements):
                 v = verdict(row)
                 if v == ONLY_GREATEST:
-                    certified[parent_rows + (row,)] = (stab.order // orbit, conjs // len(fixing))
+                    certified[parent_rows + (row,)] = (order // orbit, conjs // len(fixing))
                 elif v == TIES:
                     kept.append(row)
             rows = kept
@@ -366,7 +374,7 @@ def classify_column(
                 level_reps, raw = cached
             else:
                 parents = sorted(level_reps)
-                tasks = [(rows, n) for rows in parents]
+                tasks = [(rows, n, level_reps[rows][0]) for rows in parents]
                 merged: dict[tuple, ClassStats] = {}
                 raw = 0
                 lhs = 0

@@ -21,12 +21,19 @@ class Gf2System:
     def add_row(self, support: Iterable[int], rhs: int) -> None:
         word = 0
         for v in support:
+            # checked before the shift, which a huge index would make huge
             if not 0 <= v < self.n_vars:
                 raise ValueError("variable index out of range")
             word |= 1 << v
+        self.add_word(word, rhs)
+
+    def add_word(self, support: int, rhs: int) -> None:
+        """Add the row whose support is the bit mask ``support``."""
+        if not 0 <= support < 1 << self.n_vars:
+            raise ValueError("variable index out of range")
         if rhs not in (0, 1):
             raise ValueError("rhs must be a bit")
-        self.rows.append(word | rhs << self.n_vars)
+        self.rows.append(support | rhs << self.n_vars)
 
     def check(self, vector: tuple[int, ...]) -> bool:
         """Re-substitution: does the 0/1 vector satisfy every row?"""

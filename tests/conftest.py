@@ -73,9 +73,8 @@ class FreeRectangles(NamedTuple):
     forms: set  # their main-class canonical forms, as row tuples
 
 
-@pytest.fixture(scope="session")
-def brute_force_oracle() -> dict[tuple[int, int], FreeRectangles]:
-    """The K3,3-free rectangles of every m-by-n shape with 2 <= m <= n <= 6.
+def free_rectangles(n: int) -> dict[int, FreeRectangles]:
+    """The K3,3-free rectangles of every m-by-n shape with 2 <= m <= n, by m.
 
     Works on reduced rectangles (row 0 = 0..n-1, column 0 = 0..m-1): the
     free m-row ones are the free (m-1)-row ones extended by every
@@ -84,25 +83,33 @@ def brute_force_oracle() -> dict[tuple[int, int], FreeRectangles]:
     is missed).  Every main class has a reduced member and freeness is an
     isotopy invariant, so the forms of the reduced free rectangles are all
     the classes, and the labeled count is R * n! * (n-1)! / (n-m)! for R
-    reduced ones.  Built once per session.
+    reduced ones.
     """
-    oracle = {}
-    for n in range(3, 7):
-        perms = list(itertools.permutations(range(n)))
-        level = [(tuple(range(n)),)]
-        for m in range(2, n + 1):
-            level = [
-                rows + (p,)
-                for rows in level
-                for p in perms
-                if p[0] == m - 1
-                and all(p[c] != r[c] for r in rows for c in range(n))
-                and is_k33_free(LatinRectangle(rows + (p,)))
-            ]
-            forms = {canon.canonical_form(LatinRectangle(rows)).rows for rows in level}
-            labeled = len(level) * factorial(n) * factorial(n - 1) // factorial(n - m)
-            oracle[(m, n)] = FreeRectangles(labeled, forms)
-    return oracle
+    perms = list(itertools.permutations(range(n)))
+    level = [(tuple(range(n)),)]
+    out = {}
+    for m in range(2, n + 1):
+        level = [
+            rows + (p,)
+            for rows in level
+            for p in perms
+            if p[0] == m - 1
+            and all(p[c] != r[c] for r in rows for c in range(n))
+            and is_k33_free(LatinRectangle(rows + (p,)))
+        ]
+        forms = {canon.canonical_form(LatinRectangle(rows)).rows for rows in level}
+        labeled = len(level) * factorial(n) * factorial(n - 1) // factorial(n - m)
+        out[m] = FreeRectangles(labeled, forms)
+    return out
+
+
+@pytest.fixture(scope="session")
+def brute_force_oracle() -> dict[tuple[int, int], FreeRectangles]:
+    """:func:`free_rectangles` of every shape with 2 <= m <= n <= 6, by (m, n).
+
+    Built once per session.
+    """
+    return {(m, n): free for n in range(3, 7) for m, free in free_rectangles(n).items()}
 
 
 def cell_graph_ktt_parts(squares, t: int) -> set[frozenset]:

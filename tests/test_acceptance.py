@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, each printing PASS or FAIL.
 
 Criterion 3 (the order-9 census column) resumes from checkpoints and is
-gated behind RUN_LONG_CENSUS=1; columns n >= 10 are stretch runs and are
-not exercised here.  Run with `pytest -s` to see the per-criterion lines.
+gated behind RUN_LONG_CENSUS=1, as is criterion 5's order-7 brute force;
+columns n >= 10 are stretch runs and are not exercised here.  Run with
+`pytest -s` to see the per-criterion lines.
 """
 
 import itertools
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_rectangles, random_rectangle
+from conftest import all_rectangles, free_rectangles, random_rectangle
 from k33free import canon, fixtures, generate, spectral, tables
 from k33free.combine import (
     SwitchingMatrix,
@@ -100,18 +101,33 @@ def test_criterion_04_double_count_validation(census_cols):
             assert census_cols[n][n].main_class_count >= 0
 
 
+def check_against_brute_force(n, oracle):
+    """Column n equals ``oracle[m]``, the brute-force free m-by-n rectangles."""
+    col = generate.classify_column(n, n)
+    for m in range(2, n + 1):
+        assert col[m].main_class_count == len(oracle[m].forms), (m, n)
+        # representatives are class members; their canonical forms must be
+        # the oracle's forms
+        forms = {canon.canonical_form(r).rows for r in col[m].representatives}
+        assert forms == oracle[m].forms
+        assert col[m].total_labeled_count == oracle[m].labeled, (m, n)
+
+
 def test_criterion_05_brute_force_oracle(brute_force_oracle):
     with criterion(5, "engine equals brute force for all shapes with n <= 6"):
         for n in range(3, 7):
-            col = generate.classify_column(n, n)
-            for m in range(2, n + 1):
-                oracle = brute_force_oracle[(m, n)]
-                assert col[m].main_class_count == len(oracle.forms), (m, n)
-                # representatives are class members; their canonical forms
-                # must be the oracle's forms
-                forms = {canon.canonical_form(r).rows for r in col[m].representatives}
-                assert forms == oracle.forms
-                assert col[m].total_labeled_count == oracle.labeled, (m, n)
+            check_against_brute_force(
+                n, {m: brute_force_oracle[(m, n)] for m in range(2, n + 1)}
+            )
+
+
+@pytest.mark.skipif(
+    not os.environ.get("RUN_LONG_CENSUS"),
+    reason="the order-7 brute force is a long run; set RUN_LONG_CENSUS=1",
+)
+def test_criterion_05_brute_force_oracle_order7():
+    with criterion(5, "engine equals brute force for all shapes with n = 7 (long)"):
+        check_against_brute_force(7, free_rectangles(7))
 
 
 def test_criterion_06_pattern_oracle():

@@ -1,5 +1,6 @@
 """Switched combinations: reproduction, validity, parity/block laws."""
 
+import itertools
 import random
 
 import pytest
@@ -15,8 +16,8 @@ from k33free.combine import (
     search_k33_free_combination,
     switched_combination,
 )
-from k33free.core import LatinError, group_table, validate
-from k33free.gf2 import solve
+from k33free.core import LatinError, group_table, is_orthogonal, linear_square, validate
+from k33free.gf2 import Gf2System, solve
 from k33free.pattern import find_k33
 
 
@@ -102,11 +103,64 @@ def test_six_block_law_under_random_switching():
             assert len({(i // 2, j // 2) for i, j in w.cells}) == 6
 
 
+def _oracle_pairs():
+    """fig2, fig5, the non-orthogonal Z4 pair and every GF(5)/GF(7) linear pair."""
+    z4 = group_table("Z4")
+    pairs = [
+        (fixtures.load("fig2_a0"), fixtures.load("fig2_a1")),
+        (fixtures.load("fig5_a0"), fixtures.load("fig5_a1")),
+        (z4, z4),
+    ]
+    for p in (5, 7):
+        for s, t in itertools.combinations(range(1, p), 2):
+            pairs.append((linear_square(p, 1, s), linear_square(p, 1, t)))
+    return pairs
+
+
+def test_footprints_match_the_witness_cells():
+    # the blocks of a pattern, read off its mask, against the blocks of its
+    # six cells; and as rows of the system, against the words add_row builds
+    sizes = set()
+    for a0, a1 in _oracle_pairs():
+        n = a0.n
+        zero = switched_combination(a0, a1, SwitchingMatrix.zeros(n))
+        pats = block_patterns((a0, a1), zero)
+        assert {p.witness for p in pats} == find_k33(zero)
+        expected = [frozenset((i // 2, j // 2) for i, j in p.witness.cells) for p in pats]
+        assert [p.blocks for p in pats] == expected
+        sizes.update(len(b) for b in expected)
+        if not is_orthogonal(a0, a1):
+            continue
+        by_row = Gf2System(n * n)
+        for blocks in expected:
+            by_row.add_row([i * n + j for i, j in blocks], 1)
+        assert build_system(pats, n).rows == by_row.rows
+    assert sizes == {3, 6}
+
+
+def test_search_hits_fig5_and_fig2_only():
+    catalog = [
+        (fixtures.load("fig5_a0"), fixtures.load("fig5_a1")),
+        (fixtures.load("fig2_a0"), fixtures.load("fig2_a1")),
+        (linear_square(11, 1, 2), linear_square(11, 1, 7)),
+        (linear_square(13, 1, 3), linear_square(13, 1, 5)),
+    ]
+    hits = search_k33_free_combination(catalog)
+    assert [(h.index, h.kernel_dimension) for h in hits] == [(0, 15), (1, 9)]
+
+
 def test_build_system_rejects_small_footprints():
     z4 = group_table("Z4")
     zero = switched_combination(z4, z4, SwitchingMatrix.zeros(4))
     with pytest.raises(LatinError):
         build_system(block_patterns((z4, z4), zero), 4)
+
+
+def test_build_system_rejects_footprints_of_another_order():
+    a0, a1 = fixtures.load("fig2_a0"), fixtures.load("fig2_a1")
+    zero = switched_combination(a0, a1, SwitchingMatrix.zeros(4))
+    with pytest.raises(LatinError):
+        build_system(block_patterns((a0, a1), zero), 8)
 
 
 def test_search_pipeline_fig5():

@@ -147,7 +147,9 @@ def test_orbit_reduction_keeps_every_child_class(m, n, sample):
     processed = certified = orbit_reps = raw_total = 0
     reduced, unreduced = {}, {}
     for rep in reps:
-        ext = generate._process_parent((rep.rows, n))
+        stab = canon.canonical_with_stabilizer(rep)
+        assert len(stab.elements) == stab.order
+        ext = generate._process_parent((rep.rows, n, stab.order))
         raw_all, children_all = _unreduced_children(rep.rows, n)
         assert ext.raw == raw_all and ext.canonised >= len(ext.children)
         # a certified child is keyed by its rows, not by its canonical form
@@ -159,8 +161,6 @@ def test_orbit_reduction_keeps_every_child_class(m, n, sample):
         assert all(children_all.get(form) == stats for form, stats in children.items())
         reduced.update(children)
         unreduced.update(children_all)
-        stab = canon.canonical_with_stabilizer(rep)
-        assert len(stab.elements) == stab.order
         g = generate.compatibility_graph(rep, generate.candidates(rep))
         rows = generate.cliques_of_size(g, n)
         orbit_reps += len(generate._orbit_representatives(rows, stab.elements))
@@ -179,7 +179,8 @@ def _certified_children(n, m):
     """(rows, stats) of every child certified at level m of column n."""
     out = []
     for parent in generate.classify_column(n, m - 1)[m - 1].representatives:
-        out.extend(generate._process_parent((parent.rows, n)).certified.items())
+        order = canon.canonical_with_order(parent)[1]
+        out.extend(generate._process_parent((parent.rows, n, order)).certified.items())
     return out
 
 
@@ -214,6 +215,40 @@ def test_cut_element_lists_fall_back_to_canonisation(monkeypatch):
         assert got == (exp.main, exp.iso, exp.total), m
     assert sum(r.canonised for r in cut.values()) > sum(r.canonised for r in full.values())
     assert sum(r.certified for r in cut.values()) < sum(r.certified for r in full.values())
+
+
+def _level_stats(results):
+    return {
+        m: (r.main_class_count, r.isotopy_class_count, r.total_labeled_count,
+            r.raw_extensions, r.canonised, r.certified,
+            [x.rows for x in r.representatives])
+        for m, r in results.items()
+    }
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_trivial_stabilizer_parents_make_no_canon_call(monkeypatch, n):
+    # a parent stored with stabilizer order 1 is extended with the identity as
+    # its stabilizer; with the order hidden, every parent with a passing row
+    # makes a stabilizer search, and the results must be the same
+    orders = []
+    search = canon.canonical_with_stabilizer
+
+    def counted(s, level="main"):
+        stab = search(s, level)
+        orders.append(stab.order)
+        return stab
+
+    monkeypatch.setattr(canon, "canonical_with_stabilizer", counted)
+    skipped = _level_stats(generate.classify_column(n, n))
+    skipped_orders, orders[:] = list(orders), []
+    process = generate._process_parent
+    monkeypatch.setattr(generate, "_process_parent", lambda task: process((*task[:2], None)))
+    searched = _level_stats(generate.classify_column(n, n))
+    assert skipped == searched
+    assert 1 not in skipped_orders
+    assert len(skipped_orders) == len(orders) - orders.count(1)
+    assert orders.count(1) > 0
 
 
 def _row_invariants(s):

@@ -76,3 +76,25 @@ def test_add_row_validation():
         sys.add_row([2], 0)
     with pytest.raises(ValueError):
         sys.add_row([0], 2)
+    with pytest.raises(ValueError):
+        sys.add_row([-1], 0)
+
+
+def test_add_word_validation():
+    sys = Gf2System(n_vars=2)
+    for word in (-1, 0b100):
+        with pytest.raises(ValueError):
+            sys.add_word(word, 0)
+    with pytest.raises(ValueError):
+        sys.add_word(0b11, 2)
+    assert sys.rows == []
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(0, n - 1)), st.integers(0, 1))))
+def test_add_row_and_add_word_store_equal_words(case):
+    n_vars, support, rhs = case
+    by_row, by_word = Gf2System(n_vars), Gf2System(n_vars)
+    by_row.add_row(sorted(support), rhs)
+    by_word.add_word(sum(1 << v for v in support), rhs)
+    assert by_row.rows == by_word.rows
