@@ -210,12 +210,14 @@ def cmd_combine(args, report: Report) -> int:
 
 
 def cmd_find_free(args, report: Report) -> int:
+    if args.order is not None and args.order < 1:
+        raise ValueError(f"--order must be at least 1, got {args.order}")
     squares = parse_catalog(Path(args.catalog).read_text())
     report.hash_input(args.catalog)
     if len(squares) % 2:
         raise LatinError("catalog must hold an even number of squares (pairs)")
     pairs = [(squares[i], squares[i + 1]) for i in range(0, len(squares), 2)]
-    if args.order:
+    if args.order is not None:
         pairs = [p for p in pairs if p[0].n == args.order]
     hits = search_k33_free_combination(pairs)
     report.say(f"{len(hits)} hit(s) from {len(pairs)} pair(s)",

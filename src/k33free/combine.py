@@ -13,17 +13,20 @@ switching parity on its blocks.  A footprint is carried from the witness
 scan to the system as one int bit mask over the n*n switching variables
 (bit i*n + j is block (i, j)), which is also the equation's row word; its
 set of block coordinates is derived from the mask only when asked for.
+Most systems have no solution, so the search streams each pair's
+equations from the scan into elimination and stops at the first that
+reduces to 0 = 1.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Grid, LatinError, LatinRectangle, is_orthogonal, validate
-from .gf2 import Gf2System, solve
-from .pattern import PatternOccurrence, find_k33, is_k33_free
+from .gf2 import Gf2System, _eliminate, solve
+from .pattern import PatternOccurrence, _scan, find_k33, is_k33_free
 
 log = logging.getLogger(__name__)
 
@@ -104,24 +107,19 @@ def switched_combination(
     return LatinRectangle(tuple(rows))
 
 
-def block_patterns(
-    pair: tuple[LatinRectangle, LatinRectangle], zero_comb: LatinRectangle
-) -> list[BlockPattern]:
-    """Footprints of all K3,3 witnesses of the 0-combination.
+def _footprints(
+    witnesses: Iterable[PatternOccurrence], n: int, orthogonal: bool
+) -> Iterator[tuple[PatternOccurrence, int]]:
+    """Each witness of an order-2n 0-combination with its block mask.
 
-    Orthogonal inputs force every footprint to exactly six blocks; a
-    smaller footprint is returned as-is and certifies non-orthogonality.
     A witness's cells are (r1, c2), (r1, c3), (r2, c3), (r2, c1), (r3, c1)
     and (r3, c2), so its mask is read off its rows and columns: the block
     row of row r starts at bit ``shift[r]``, and column c sets ``col_bit[c]``
-    within it.
+    within it.  Orthogonal inputs force exactly six blocks per mask.
     """
-    orthogonal = is_orthogonal(pair[0], pair[1])
-    n = pair[0].n
     shift = [i // 2 * n for i in range(2 * n)]
     col_bit = [1 << j // 2 for j in range(2 * n)]
-    out = []
-    for w in find_k33(zero_comb):
+    for w in witnesses:
         r1, r2, r3 = w.rows
         c1, c2, c3 = w.cols
         b1, b2, b3 = col_bit[c1], col_bit[c2], col_bit[c3]
@@ -130,8 +128,35 @@ def block_patterns(
             raise LatinError(
                 f"orthogonal pair produced a {mask.bit_count()}-block witness"
             )
-        out.append(BlockPattern(w, mask, n))
-    return out
+        yield w, mask
+
+
+def block_patterns(
+    pair: tuple[LatinRectangle, LatinRectangle], zero_comb: LatinRectangle
+) -> list[BlockPattern]:
+    """Footprints of all K3,3 witnesses of the 0-combination.
+
+    Orthogonal inputs force every footprint to exactly six blocks; a
+    smaller footprint is returned as-is and certifies non-orthogonality.
+    """
+    n = pair[0].n
+    orthogonal = is_orthogonal(pair[0], pair[1])
+    return [
+        BlockPattern(w, mask, n)
+        for w, mask in _footprints(find_k33(zero_comb), n, orthogonal)
+    ]
+
+
+def _first_contradiction(zero_comb: LatinRectangle, n: int) -> int | None:
+    """Index, in scan order, of the first footprint equation of an orthogonal
+    pair's 0-combination that reduces to 0 = 1, or None if none does.
+
+    The equations are eliminated as the witness scan yields them, so an
+    unsolvable system is rejected without scanning its remaining witnesses.
+    """
+    rhs = 1 << n * n
+    words = (mask | rhs for _, mask in _footprints(_scan(zero_comb), n, True))
+    return _eliminate(words, n * n)[2]
 
 
 def build_system(patterns: Iterable[BlockPattern], n: int) -> Gf2System:
@@ -160,9 +185,11 @@ def search_k33_free_combination(
 ) -> list[SearchHit]:
     """Solve the switching system for each pair; emit verified hits.
 
-    The linear system controls six-block witnesses only, so every
-    candidate square is re-checked by the generic pattern scan before it
-    is emitted.
+    A pair is rejected at the first footprint equation that reduces to
+    0 = 1, as the witness scan yields it.  A pair with no such equation is
+    scanned again into ``block_patterns`` and solved in full.  The linear
+    system controls six-block witnesses only, so every candidate square is
+    re-checked by the generic pattern scan before it is emitted.
     """
     hits = []
     for idx, (a0, a1) in enumerate(catalog):
@@ -174,13 +201,18 @@ def search_k33_free_combination(
                 log.info("pair %d: not orthogonal, skipped", idx)
                 continue
             zero = switched_combination(a0, a1, SwitchingMatrix.zeros(n))
-            patterns = block_patterns((a0, a1), zero)
-            space = solve(build_system(patterns, n))
-            if space.particular is None:
+            bad = _first_contradiction(zero, n)
+            if bad is not None:
                 log.info(
-                    "pair %d: system unsolvable (%d patterns)", idx, len(patterns)
+                    "pair %d: system unsolvable (equation %d, counted from 0, reduces to 0 = 1)",
+                    idx, bad,
                 )
                 continue
+            space = solve(build_system(block_patterns((a0, a1), zero), n))
+            if space.particular is None:
+                raise RuntimeError(
+                    f"pair {idx}: no equation reduced to 0 = 1 but the system is unsolvable"
+                )
             s = SwitchingMatrix.from_vector(n, space.particular)
             square = switched_combination(a0, a1, s)
             if not is_k33_free(square):

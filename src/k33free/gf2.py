@@ -18,15 +18,6 @@ class Gf2System:
     n_vars: int
     rows: list[int] = field(default_factory=list)
 
-    def add_row(self, support: Iterable[int], rhs: int) -> None:
-        word = 0
-        for v in support:
-            # checked before the shift, which a huge index would make huge
-            if not 0 <= v < self.n_vars:
-                raise ValueError("variable index out of range")
-            word |= 1 << v
-        self.add_word(word, rhs)
-
     def add_word(self, support: int, rhs: int) -> None:
         """Add the row whose support is the bit mask ``support``."""
         if not 0 <= support < 1 << self.n_vars:
@@ -71,26 +62,9 @@ def solve(sys: Gf2System) -> Gf2SolutionSpace:
     Inconsistency is reported as ``particular is None``, not as an error.
     """
     n = sys.n_vars
-    pivot_of_col: dict[int, int] = {}
-    reduced: list[int] = []
-    for word in sys.rows:
-        for col, row_idx in pivot_of_col.items():
-            if word >> col & 1:
-                word ^= reduced[row_idx]
-        if word == 0:
-            continue
-        low = (word & ((1 << n) - 1))
-        if low == 0:
-            # 0 = 1
-            return Gf2SolutionSpace(n, None, [])
-        col = (low & -low).bit_length() - 1
-        # back-substitute into existing rows
-        for i, other in enumerate(reduced):
-            if other >> col & 1:
-                reduced[i] = other ^ word
-        pivot_of_col[col] = len(reduced)
-        reduced.append(word)
-
+    pivot_of_col, reduced, contradiction = _eliminate(sys.rows, n)
+    if contradiction is not None:
+        return Gf2SolutionSpace(n, None, [])
     pivots = sorted(pivot_of_col)
     free_cols = [c for c in range(n) if c not in pivot_of_col]
 
@@ -107,6 +81,38 @@ def solve(sys: Gf2System) -> Gf2SolutionSpace:
                 vec[col] = 1
         basis.append(tuple(vec))
     return Gf2SolutionSpace(n, tuple(particular), basis)
+
+
+def _eliminate(
+    words: Iterable[int], n: int
+) -> tuple[dict[int, int], list[int], int | None]:
+    """Reduce ``words`` (rows in ``Gf2System``'s format over ``n`` variables)
+    one at a time, as they are read.
+
+    Returns the pivot row index of each pivot column, the fully reduced
+    pivot rows and, if some word reduces to 0 = 1, its index.  That one
+    word proves the system unsolvable, so no word after it is read.
+    """
+    pivot_of_col: dict[int, int] = {}
+    reduced: list[int] = []
+    for index, word in enumerate(words):
+        for col, row_idx in pivot_of_col.items():
+            if word >> col & 1:
+                word ^= reduced[row_idx]
+        if word == 0:
+            continue
+        low = (word & ((1 << n) - 1))
+        if low == 0:
+            # 0 = 1
+            return pivot_of_col, reduced, index
+        col = (low & -low).bit_length() - 1
+        # back-substitute into existing rows
+        for i, other in enumerate(reduced):
+            if other >> col & 1:
+                reduced[i] = other ^ word
+        pivot_of_col[col] = len(reduced)
+        reduced.append(word)
+    return pivot_of_col, reduced, None
 
 
 def enumerate_solutions(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import LatinRectangle, is_orthogonal
 
@@ -57,23 +58,22 @@ def find_k33(s: LatinRectangle) -> set[PatternOccurrence]:
     Each witness is found once, from its least column, and labelled with
     its rows in ascending order.
     """
-    return set(_scan(s, stop_first=False))
+    return set(_scan(s))
 
 
 def is_k33_free(s: LatinRectangle) -> bool:
-    """True iff the rectangle has no K3,3 witness (short-circuits)."""
-    return not _scan(s, stop_first=True)
+    """True iff the rectangle has no K3,3 witness (stops at the first)."""
+    return next(_scan(s), None) is None
 
 
-def _scan(s: LatinRectangle, stop_first: bool) -> list[PatternOccurrence]:
-    """Each witness once, found from its least column c1.
+def _scan(s: LatinRectangle) -> Iterator[PatternOccurrence]:
+    """Yield each witness once, found from its least column c1.
 
     Row r1 holds at columns c2, c3 > c1 the letters that rows r2 < r3 hold
     at column c1, so for each (c1, r1) only the rows whose letter sits right
     of c1 in row r1 are paired up.
     """
     m, n = s.m, s.n
-    found: list[PatternOccurrence] = []
     grid = s.rows
     pos = s.column_positions()
     for c in range(n):
@@ -92,15 +92,11 @@ def _scan(s: LatinRectangle, stop_first: bool) -> list[PatternOccurrence]:
                     # l1=lx l2=lq l3=lp; relabel so that the rows ascend
                     # (rp < rq already, so only the place of t decides)
                     if t < rp:
-                        occ = PatternOccurrence((t, rp, rq), (c, cp, cq), (lx, lq, lp))
+                        yield PatternOccurrence((t, rp, rq), (c, cp, cq), (lx, lq, lp))
                     elif t < rq:
-                        occ = PatternOccurrence((rp, t, rq), (cp, c, cq), (lq, lx, lp))
+                        yield PatternOccurrence((rp, t, rq), (cp, c, cq), (lq, lx, lp))
                     else:
-                        occ = PatternOccurrence((rp, rq, t), (cp, cq, c), (lq, lp, lx))
-                    found.append(occ)
-                    if stop_first:
-                        return found
-    return found
+                        yield PatternOccurrence((rp, rq, t), (cp, cq, c), (lq, lp, lx))
 
 
 # ---------------------------------------------------------------------------

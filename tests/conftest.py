@@ -14,6 +14,14 @@ from k33free.core import LatinRectangle
 from k33free.pattern import is_k33_free
 
 
+def support_mask(support) -> int:
+    """The GF(2) row word of a support: bit v for each variable index v."""
+    mask = 0
+    for v in support:
+        mask |= 1 << v
+    return mask
+
+
 def random_rectangle(rng: random.Random, m: int, n: int) -> LatinRectangle:
     """Uniform-ish random latin rectangle by randomized backtracking."""
     while True:

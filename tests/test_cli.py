@@ -211,6 +211,16 @@ def test_find_free(capsys, tmp_path):
     assert (out_dir / "pair0_square.txt").exists()
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_find_free_rejects_an_order_below_one(capsys, tmp_path, order):
+    cat = tmp_path / "cat.txt"
+    cat.write_text(serialize_catalog(
+        [linear_square(3, 1, 1), linear_square(3, 1, 2)] * 2
+    ))
+    assert one_line_error(capsys, "find-free", "--catalog", str(cat),
+                          "--order", order) == 2
+
+
 def test_verify_eigen(capsys, fx, tmp_path):
     from k33free.pattern import find_k33
 

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k33free import fixtures
+from conftest import support_mask
+from k33free import combine, fixtures
 from k33free.combine import (
     BlockPattern,
     SwitchingMatrix,
+    _first_contradiction,
     block_patterns,
     build_system,
     search_k33_free_combination,
@@ -119,7 +121,7 @@ def _oracle_pairs():
 
 def test_footprints_match_the_witness_cells():
     # the blocks of a pattern, read off its mask, against the blocks of its
-    # six cells; and as rows of the system, against the words add_row builds
+    # six cells; and as rows of the system, against words built from those
     sizes = set()
     for a0, a1 in _oracle_pairs():
         n = a0.n
@@ -133,7 +135,7 @@ def test_footprints_match_the_witness_cells():
             continue
         by_row = Gf2System(n * n)
         for blocks in expected:
-            by_row.add_row([i * n + j for i, j in blocks], 1)
+            by_row.add_word(support_mask(i * n + j for i, j in blocks), 1)
         assert build_system(pats, n).rows == by_row.rows
     assert sizes == {3, 6}
 
@@ -147,6 +149,52 @@ def test_search_hits_fig5_and_fig2_only():
     ]
     hits = search_k33_free_combination(catalog)
     assert [(h.index, h.kernel_dimension) for h in hits] == [(0, 15), (1, 9)]
+
+
+def _unsolvable_linear_pairs():
+    return [
+        (linear_square(11, 1, 2), linear_square(11, 1, 7)),
+        (linear_square(13, 1, 3), linear_square(13, 1, 5)),
+    ]
+
+
+def test_first_contradiction_agrees_with_the_full_solve():
+    pairs = [pair for pair in _oracle_pairs() if is_orthogonal(*pair)]
+    pairs += _unsolvable_linear_pairs()
+    verdicts = []
+    for a0, a1 in pairs:
+        n = a0.n
+        zero = switched_combination(a0, a1, SwitchingMatrix.zeros(n))
+        space = solve(build_system(block_patterns((a0, a1), zero), n))
+        verdicts.append(_first_contradiction(zero, n) is None)
+        assert verdicts[-1] == space.consistent
+    assert len(pairs) == 25 and False in verdicts and True in verdicts
+
+
+def test_unsolvable_pairs_stop_scanning_at_the_contradiction(monkeypatch, caplog):
+    real_scan, read = combine._scan, []
+
+    def counting_scan(s):
+        read.append(0)
+        for w in real_scan(s):
+            read[-1] += 1
+            yield w
+
+    def no_block_patterns(*args):
+        raise AssertionError("block_patterns called for an unsolvable pair")
+
+    monkeypatch.setattr(combine, "_scan", counting_scan)
+    monkeypatch.setattr(combine, "block_patterns", no_block_patterns)
+    caplog.set_level("INFO", logger="k33free.combine")
+    pairs = _unsolvable_linear_pairs()
+    assert search_k33_free_combination(pairs) == []
+    assert len(read) == 2
+    for idx, ((a0, a1), count) in enumerate(zip(pairs, read)):
+        zero = switched_combination(a0, a1, SwitchingMatrix.zeros(a0.n))
+        assert 0 < count < len(find_k33(zero))
+        # the last witness read is the contradictory equation
+        assert (f"pair {idx}: system unsolvable (equation {count - 1}, counted from 0, "
+                "reduces to 0 = 1)" in caplog.text)
 
 
 def test_build_system_rejects_small_footprints():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k33free.gf2 import Gf2System, enumerate_solutions, solve
+from conftest import support_mask
+from k33free.gf2 import Gf2System, _eliminate, enumerate_solutions, solve
 
 
 def brute_solutions(sys: Gf2System) -> set[tuple[int, ...]]:
@@ -22,7 +23,7 @@ def random_system(rng, n_vars, n_rows):
     sys = Gf2System(n_vars=n_vars)
     for _ in range(n_rows):
         support = [v for v in range(n_vars) if rng.random() < 0.4]
-        sys.add_row(support, rng.randint(0, 1))
+        sys.add_word(support_mask(support), rng.randint(0, 1))
     return sys
 
 
@@ -49,8 +50,8 @@ def test_empty_system():
 
 def test_inconsistent_system():
     sys = Gf2System(n_vars=2)
-    sys.add_row([0, 1], 0)
-    sys.add_row([0, 1], 1)
+    sys.add_word(support_mask([0, 1]), 0)
+    sys.add_word(support_mask([0, 1]), 1)
     space = solve(sys)
     assert not space.consistent
     with pytest.raises(ValueError):
@@ -59,8 +60,8 @@ def test_inconsistent_system():
 
 def test_unique_solution():
     sys = Gf2System(n_vars=2)
-    sys.add_row([0], 1)
-    sys.add_row([0, 1], 0)
+    sys.add_word(support_mask([0]), 1)
+    sys.add_word(support_mask([0, 1]), 0)
     space = solve(sys)
     assert space.dimension == 0 and space.particular == (1, 1)
 
@@ -68,16 +69,6 @@ def test_unique_solution():
 def test_enumerate_respects_limit():
     space = solve(Gf2System(n_vars=5))
     assert len(list(enumerate_solutions(space, limit=7))) == 7
-
-
-def test_add_row_validation():
-    sys = Gf2System(n_vars=2)
-    with pytest.raises(ValueError):
-        sys.add_row([2], 0)
-    with pytest.raises(ValueError):
-        sys.add_row([0], 2)
-    with pytest.raises(ValueError):
-        sys.add_row([-1], 0)
 
 
 def test_add_word_validation():
@@ -90,11 +81,24 @@ def test_add_word_validation():
     assert sys.rows == []
 
 
-@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
-    st.just(n), st.sets(st.integers(0, n - 1)), st.integers(0, 1))))
-def test_add_row_and_add_word_store_equal_words(case):
-    n_vars, support, rhs = case
-    by_row, by_word = Gf2System(n_vars), Gf2System(n_vars)
-    by_row.add_row(sorted(support), rhs)
-    by_word.add_word(sum(1 << v for v in support), rhs)
-    assert by_row.rows == by_word.rows
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (2 << n) - 1), max_size=12))))
+@settings(max_examples=200, deadline=None)
+def test_elimination_stops_at_the_first_unsolvable_prefix(case):
+    # words over n variables with the rhs at bit n; 0 is the redundant 0 = 0
+    n_vars, words = case
+    read = []
+
+    def stream():
+        for word in words:
+            read.append(word)
+            yield word
+
+    _, _, contradiction = _eliminate(stream(), n_vars)
+    unsolvable = [k for k in range(1, len(words) + 1)
+                  if not brute_solutions(Gf2System(n_vars, words[:k]))]
+    if unsolvable:
+        assert contradiction == unsolvable[0] - 1
+        assert read == words[:unsolvable[0]]
+    else:
+        assert contradiction is None and read == words

@@ -59,7 +59,7 @@ def assert_labelled_once(s):
     """find_k33 gives the brute-force labelling, each witness reported once."""
     found = find_k33(s)
     assert {(w.rows, w.cols, w.letters) for w in found} == brute_force_labelled(s)
-    assert len(_scan(s, stop_first=False)) == len(found)
+    assert len(list(_scan(s))) == len(found)
 
 
 def test_exhaustive_3x3_matches_graph_oracle():
