@@ -147,9 +147,8 @@ def cmd_census(args, report: Report) -> int:
             if exp is None:
                 status = "untabulated"
             else:
-                want = (exp.main, exp.iso, exp.total)
-                ok = all(w is None or g == w for g, w in zip(got, want))
-                status = "ok" if ok else f"MISMATCH expected {want}"
+                ok = exp.agrees(*got)
+                status = "ok" if ok else f"MISMATCH expected {(exp.main, exp.iso, exp.total)}"
                 mismatches += 0 if ok else 1
             report.say(
                 f"({m},{n}): main {got[0]}, iso {got[1]}, total {got[2]} [{status}]"

@@ -32,8 +32,21 @@ between two such children maps r to r' and fixes P), so it needs no
 deduplication; its multiset of row invariants keeps it apart from the
 classes with a tie, which are canonised and deduplicated by canonical form.
 Certified children keep the rows P + r as their representative, which is
-then not a canonical form.  Squares, and the children of a parent whose
-stabilizer element list was cut at ``canon.ELEMENT_CAP``, are canonised.
+then not a canonical form.  Squares are canonised.  So are the children of
+a parent whose stabilizer element list was cut at ``canon.ELEMENT_CAP``:
+its elements still map each child onto an isomorphic one, so the orbit
+reduction stays sound, but the orbit sizes it counts may be too small for
+certification.
+
+Level 2 needs no canon call.  The second rows of the identity row are the
+derangements, and two of them give isomorphic rectangles iff they have the
+same cycle type lambda (a partition of n into parts >= 2), so each type is
+one main class and one isotopy class.  Its representative (0..n-1,
+``canon._type_row(lambda)``) is already its canonical form.  The n! first
+rows times the n! / |C_lambda| permutations of type lambda are its labeled
+members, where C_lambda is the centralizer; by orbit-stabilizer its
+stabilizer order is ``allowed_group_order(2, n) * |C_lambda| / n!^2``.  The
+classes are counted as ``certified``.
 
 Each level is validated by counting all labeled rectangles two ways (from
 parent orbits times raw extension counts, and from child orbits); any
@@ -52,7 +65,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import canon
-from .core import CONJ_ID, LatinError, LatinRectangle, Paratopism, shape_preserving_conjs
+from .core import CONJ_ID, LatinError, LatinRectangle, Paratopism, shape_preserving_conjs, validate
 
 #: least seconds between two ``progress`` lines while a level runs
 HEARTBEAT_S = 30
@@ -150,18 +163,36 @@ def cliques_of_size(g: CompatibilityGraph, n: int) -> list[tuple[int, ...]]:
 # level-by-level classification
 
 
+ClassStats = tuple[int, int]  # (stabilizer order, isotopy classes) of a class
+
+
 @dataclass
 class ClassificationResult:
     m: int
     n: int
-    representatives: list[LatinRectangle]
-    main_class_count: int
-    isotopy_class_count: int
-    total_labeled_count: int
+    classes: dict[tuple, ClassStats]  # rows of each main-class representative -> its stats
     raw_extensions: int  # cliques found while extending the previous level
     seconds: float = 0.0  # the whole level, checkpoint and isotopy counts included
     canonised: int = 0  # child canon calls made in this run (0 if loaded)
     certified: int = 0  # children accepted with no canon call in this run (0 if loaded)
+
+    @property
+    def representatives(self) -> list[LatinRectangle]:
+        """One rectangle per main class, in row order; built on each access."""
+        return [LatinRectangle(rows) for rows in sorted(self.classes)]
+
+    @property
+    def main_class_count(self) -> int:
+        return len(self.classes)
+
+    @property
+    def isotopy_class_count(self) -> int:
+        return sum(iso for _, iso in self.classes.values())
+
+    @property
+    def total_labeled_count(self) -> int:
+        group = canon.allowed_group_order(self.m, self.n, "main")
+        return sum(group // order for order, _ in self.classes.values())
 
 
 class DoubleCountError(RuntimeError):
@@ -173,9 +204,6 @@ def _derangements(n: int) -> int:
     for k in range(2, n + 1):
         d0, d1 = d1, (k - 1) * (d0 + d1)
     return d1 if n >= 1 else 1
-
-
-ClassStats = tuple[int, int]  # (stabilizer order, isotopy classes) of a class
 
 
 class Extension(NamedTuple):
@@ -193,11 +221,14 @@ def _orbit_representatives(
     """The first new row of each orbit of the parent's stabilizer ``stab``.
 
     Each comes with the size of its orbit and the conjugations of the
-    elements that fix it.  ``stab`` must be complete.  Its elements fix the
-    parent rows, so each maps a child to the child with the image row;
-    marking every image of a kept row costs orbits x |stab| instead of
-    rows x |stab|.  Orbits are disjoint, so an orbit's size is the number of
-    images it adds to ``seen``.
+    elements that fix it.  The elements fix the parent rows, so each maps a
+    child to the child with the image row; marking every image of a kept row
+    costs orbits x |stab| instead of rows x |stab|.  Orbits are disjoint, so
+    an orbit's size is the number of images it adds to ``seen``.  Both are
+    exact only for a complete element list.  A list cut at
+    ``canon.ELEMENT_CAP`` still maps each skipped row's child onto a kept
+    row's child of the same class, so the reduction stays sound, but its
+    sizes and conjugations may fall short.
     """
     seen: set[tuple[int, ...]] = set()
     kept = []
@@ -270,20 +301,23 @@ def _process_parent(args) -> Extension:
 
     ``args`` is (rows, n, stabilizer order as stored with the parent's
     level).  A parent of order 1 has the identity as its whole stabilizer,
-    so it needs no stabilizer search.  Canonised children are deduplicated
-    by canonical form within the parent.
+    so it needs no stabilizer search.  One passing row per orbit is kept: it
+    is certified if it is the ``ONLY_GREATEST`` and the element list is
+    complete, else canonised, and canonised children are deduplicated by
+    canonical form within the parent.
     """
     parent_rows, n, order = args
     parent = LatinRectangle(parent_rows)
     g = compatibility_graph(parent, candidates(parent))
     rows = cliques_of_size(g, n)
-    raw = len(rows)
 
     # the verdicts are kept by the parent's stabilizer, so they can follow
     # the orbit reduction; a parent with no passing row is spared its
     # stabilizer, at the cost of a scan up to the first passing row
     verdict = _new_row_test(parent)
+    canonised = 0
     certified: dict[tuple, ClassStats] = {}
+    children: dict[tuple, ClassStats] = {}
     if any(map(verdict, rows)):
         if order == 1:
             identity = tuple(range(n))
@@ -291,48 +325,43 @@ def _process_parent(args) -> Extension:
         else:
             stab = canon.canonical_with_stabilizer(parent, "main")
             order, elements = stab.order, stab.elements
-        if len(elements) == order:
-            conjs = len(shape_preserving_conjs(parent.m + 1, n))
-            kept = []
-            for row, orbit, fixing in _orbit_representatives(rows, elements):
-                v = verdict(row)
-                if v == ONLY_GREATEST:
-                    certified[parent_rows + (row,)] = (order // orbit, conjs // len(fixing))
-                elif v == TIES:
-                    kept.append(row)
-            rows = kept
-        else:
-            rows = [row for row in rows if verdict(row)]
-    else:
-        rows = []
-
-    children: dict[tuple, ClassStats] = {}
-    for row in rows:
-        form, order, iso = canon.canonical_with_order(LatinRectangle(parent_rows + (row,)))
-        children.setdefault(form.rows, (order, iso))
-    return Extension(raw, len(rows), certified, children)
+        complete = len(elements) == order
+        conjs = len(shape_preserving_conjs(parent.m + 1, n))
+        for row, orbit, fixing in _orbit_representatives(rows, elements):
+            v = verdict(row)
+            if v == ONLY_GREATEST and complete:
+                certified[parent_rows + (row,)] = (order // orbit, conjs // len(fixing))
+            elif v:
+                form, child_order, iso = canon.canonical_with_order(
+                    LatinRectangle(parent_rows + (row,))
+                )
+                canonised += 1
+                children.setdefault(form.rows, (child_order, iso))
+    return Extension(len(rows), canonised, certified, children)
 
 
 def _two_row_reps(n: int) -> Extension:
     """Extend the identity row as :func:`_process_parent` does, without cliques.
 
     The second rows are the derangements and the main classes their cycle
-    types (partitions of n into parts >= 2).
+    types (partitions of n into parts >= 2), each certified in closed form
+    (see the module docstring).
     """
+    identity = tuple(range(n))
+    group = canon.allowed_group_order(2, n)
     reps: dict[tuple, ClassStats] = {}
 
     def partitions(remaining: int, min_part: int, acc: tuple[int, ...]):
         if remaining == 0:
-            row1 = canon._type_row(acc)
-            form, order, iso = canon.canonical_with_order(LatinRectangle((tuple(range(n)), row1)))
-            reps[form.rows] = (order, iso)
+            order = group * canon._centralizer_order(acc) // factorial(n) ** 2
+            reps[(identity, canon._type_row(acc))] = (order, 1)
             return
         for p in range(min_part, remaining + 1):
             if remaining - p != 1:
                 partitions(remaining - p, p, acc + (p,))
 
     partitions(n, 2, ())
-    return Extension(_derangements(n), len(reps), {}, reps)
+    return Extension(_derangements(n), 0, reps, {})
 
 
 def classify_column(
@@ -357,27 +386,24 @@ def classify_column(
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    results: dict[int, ClassificationResult] = {}
     # level 1: single reduced row
     level_reps: dict[tuple, ClassStats] = {
         (tuple(range(n)),): (canon.allowed_group_order(1, n) // factorial(n), 1)
     }
-    results[1] = _make_result(1, n, level_reps, raw=0)
+    results = {1: ClassificationResult(1, n, level_reps, raw_extensions=0)}
 
     pool = None  # one worker pool for the column, forked at its first use
     try:
         for m in range(2, m_max + 1):
             t0 = time.time()
-            canonised = certified = 0
             cached = _load_level(out_path, n, m)
             if cached is not None:
-                level_reps, raw = cached
+                r = ClassificationResult(m, n, *cached)
             else:
                 parents = sorted(level_reps)
                 tasks = [(rows, n, level_reps[rows][0]) for rows in parents]
                 merged: dict[tuple, ClassStats] = {}
-                raw = 0
-                lhs = 0
+                raw = lhs = canonised = certified = 0
                 if m == 2:
                     outputs = [_two_row_reps(n)]
                 elif jobs > 1:
@@ -402,52 +428,33 @@ def classify_column(
                         beat = time.time()
                         print(f"  level {m}x{n}: {done}/{len(parents)} parents "
                               f"({beat - t0:.1f}s)", flush=True)
-                level_reps = merged
-                rhs = _labeled_total(m, n, level_reps)
+                r = ClassificationResult(m, n, merged, raw, canonised=canonised,
+                                         certified=certified)
+                rhs = r.total_labeled_count
                 if lhs != rhs:
                     raise DoubleCountError(
                         f"level {m}x{n}: parent-side total {lhs} != child-side total {rhs}"
                     )
-            _store_level(out_path, n, m, level_reps, raw)
-            results[m] = r = _make_result(m, n, level_reps, raw)
-            r.canonised, r.certified = canonised, certified
-            r.seconds = seconds = time.time() - t0
+            _store_level(out_path, n, m, r.classes, r.raw_extensions)
+            results[m] = r
+            level_reps = r.classes
+            r.seconds = time.time() - t0
             if progress:
                 print(
                     f"  level {m}x{n}: {r.main_class_count} main classes, "
-                    f"total {r.total_labeled_count}, {canonised} canonised, "
-                    f"{certified} certified ({seconds:.1f}s)",
+                    f"total {r.total_labeled_count}, {r.canonised} canonised, "
+                    f"{r.certified} certified ({r.seconds:.1f}s)",
                     flush=True,
                 )
             if not level_reps:
                 # nothing to extend; all higher levels are empty
                 for mm in range(m + 1, m_max + 1):
-                    results[mm] = _make_result(mm, n, {}, raw=0)
+                    results[mm] = ClassificationResult(mm, n, {}, raw_extensions=0)
                 break
     finally:
         if pool is not None:
             pool.terminate()
     return results
-
-
-def _labeled_total(m: int, n: int, reps: dict[tuple, ClassStats]) -> int:
-    group = canon.allowed_group_order(m, n, "main")
-    return sum(group // order for order, _ in reps.values())
-
-
-def _make_result(m: int, n: int, reps: dict[tuple, ClassStats], raw: int) -> ClassificationResult:
-    rep_rects = [LatinRectangle(rows) for rows in sorted(reps)]
-    total = _labeled_total(m, n, reps)
-    iso = sum(iso for _, iso in reps.values())
-    return ClassificationResult(
-        m=m,
-        n=n,
-        representatives=rep_rects,
-        main_class_count=len(rep_rects),
-        isotopy_class_count=iso,
-        total_labeled_count=total,
-        raw_extensions=raw,
-    )
 
 
 # -- level persistence -------------------------------------------------------
@@ -484,6 +491,24 @@ def _store_level(out_path, n, m, reps: dict[tuple, ClassStats], raw: int) -> Non
     tmp.rename(_level_file(out_path, n, m))
 
 
+def _class_entry(e: dict, m: int, n: int, group: int) -> tuple[tuple, ClassStats]:
+    """One stored class as (rows, stats); ValueError unless it is well formed.
+
+    The stabilizer order must divide the order ``group`` of the level's
+    paratopism group, and the rows must be an m-by-n latin rectangle.
+    """
+    rows, order, iso = e["rows"], e["stab_order"], e["iso_classes"]
+    for name, value in (("stab_order", order), ("iso_classes", iso)):
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{name} {value!r} is not a positive integer")
+    if group % order:
+        raise ValueError(f"stab_order {order} does not divide the group order {group}")
+    if len(rows) != m or any(len(row) != n or any(type(x) is not int for x in row)
+                             for row in rows):
+        raise ValueError(f"rows are not an {m}x{n} grid of integers")
+    return validate(rows).rows, (order, iso)
+
+
 def _load_level(out_path, n, m):
     if out_path is None:
         return None
@@ -494,11 +519,12 @@ def _load_level(out_path, n, m):
         payload = json.loads(f.read_text())
         version, shape = payload.get("version"), (payload.get("m"), payload.get("n"))
         if version == CHECKPOINT_VERSION and shape == (m, n):
-            reps = {
-                tuple(map(tuple, e["rows"])): (e["stab_order"], e["iso_classes"])
-                for e in payload["classes"]
-            }
-            return reps, payload["raw_extensions"]
+            group = canon.allowed_group_order(m, n, "main")
+            reps = dict(_class_entry(e, m, n, group) for e in payload["classes"])
+            raw = payload["raw_extensions"]
+            if type(raw) is not int or raw < 0:
+                raise ValueError(f"raw_extensions {raw!r} is not a non-negative integer")
+            return reps, raw
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{f}: malformed checkpoint ({exc!r})") from None
     if version != CHECKPOINT_VERSION:

@@ -18,6 +18,13 @@ class CensusCell:
     iso: int | None  # isotopy classes; None where unpublished
     total: int | None  # labeled count; None where unpublished
 
+    def agrees(self, main: int, iso: int, total: int) -> bool:
+        """Whether computed counts match the cell; an unpublished value matches any."""
+        return all(
+            want is None or got == want
+            for got, want in zip((main, iso, total), (self.main, self.iso, self.total))
+        )
+
 
 # (m, n) -> (main, iso-or-None, total-or-None)
 _DATA: dict[tuple[int, int], tuple[int, int | None, int | None]] = {

@@ -11,7 +11,7 @@ import pytest
 
 from k33free import canon
 from k33free.core import LatinRectangle
-from k33free.pattern import is_k33_free
+from k33free.pattern import find_k33, is_k33_free
 
 
 def support_mask(support) -> int:
@@ -20,6 +20,13 @@ def support_mask(support) -> int:
     for v in support:
         mask |= 1 << v
     return mask
+
+
+def footprints(square) -> set[frozenset]:
+    """The 2x2 blocks of the cells of each K3,3 witness of a switched combination."""
+    return {
+        frozenset((i // 2, j // 2) for i, j in w.cells) for w in find_k33(square)
+    }
 
 
 def random_rectangle(rng: random.Random, m: int, n: int) -> LatinRectangle:

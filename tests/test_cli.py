@@ -154,6 +154,44 @@ def test_stale_checkpoint_is_an_input_error(capsys, tmp_path):
                           "--work-dir", str(work)) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("stab_order", 0),
+    ("stab_order", "x"),
+    ("stab_order", 7),  # not a divisor of the 3x6 group order
+    ("iso_classes", 0),
+    ("rows", [[0, 1, 2, 3, 4, 6]] * 3),
+    ("rows", [[0, 1, 2, 3, 4, 5]] * 2),
+    ("rows", [[0, 1, 2, 3, 4, 5]] * 3),  # not latin
+    ("rows", [[0, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0], [2, 3, 4, 5, 0, 1.5]]),
+    ("raw_extensions", "x"),
+    ("raw_extensions", -1),
+])
+def test_malformed_checkpoint_is_an_input_error(capsys, tmp_path, field, value):
+    work = tmp_path / "work"
+    assert cli.main(["enumerate", "--m", "3", "--n", "6", "--work-dir", str(work)]) == 0
+    capsys.readouterr()
+    f = work / "level_3x6.json"
+    payload = json.loads(f.read_text())
+    (payload if field == "raw_extensions" else payload["classes"][0])[field] = value
+    f.write_text(json.dumps(payload))
+    assert one_line_error(capsys, "enumerate", "--m", "4", "--n", "6",
+                          "--work-dir", str(work)) == 2
+
+
+def test_enumerate_two_by_two(capsys):
+    code, out = run(capsys, "--format", "json", "enumerate", "--m", "2", "--n", "2")
+    data = json.loads(out)
+    assert code == 0 and (data["main"], data["total"]) == (1, 2)
+
+
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    listed = {line.split()[1] for line in block.splitlines() if line.startswith("k33free ")}
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert listed == set(sub.choices)
+
+
 def test_canon_idempotent(capsys, fx):
     code, out = run(capsys, "canon", fx("fig3_a"))
     assert code == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import support_mask
+from conftest import footprints, support_mask
 from k33free import combine, fixtures
 from k33free.combine import (
     BlockPattern,
@@ -21,12 +21,6 @@ from k33free.combine import (
 from k33free.core import LatinError, group_table, is_orthogonal, linear_square, validate
 from k33free.gf2 import Gf2System, solve
 from k33free.pattern import find_k33
-
-
-def footprints(square):
-    return {
-        frozenset((i // 2, j // 2) for i, j in w.cells) for w in find_k33(square)
-    }
 
 
 def random_switch(rng, n):

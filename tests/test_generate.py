@@ -71,12 +71,14 @@ def test_engine_matches_brute_force_classification(n, brute_force_oracle):
         assert col[m].total_labeled_count == oracle.labeled, (m, n)
 
 
-_rows = st.lists(st.lists(st.integers(0, 9), min_size=3, max_size=3).map(tuple),
-                 min_size=2, max_size=2).map(tuple)
+# a stored class must be a latin rectangle whose stabilizer order divides
+# the order of its level's group
+_rows = st.sampled_from([s.rows for s in all_rectangles(2, 3)])
+_group_2x3 = canon.allowed_group_order(2, 3)
+_orders = st.sampled_from([d for d in range(1, _group_2x3 + 1) if _group_2x3 % d == 0])
 
 
-@given(st.dictionaries(_rows, st.tuples(st.integers(1, 10**12), st.integers(1, 6)),
-                       max_size=5),
+@given(st.dictionaries(_rows, st.tuples(_orders, st.integers(1, 6)), max_size=5),
        st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_checkpoint_round_trip(reps, raw):
@@ -204,17 +206,52 @@ def test_certified_stats_match_the_stabilizer_search(n, levels, sample):
 
 
 def test_cut_element_lists_fall_back_to_canonisation(monkeypatch):
-    # a parent whose element list is cut keeps no orbit reduction and certifies
-    # nothing: all its passing children are canonised and deduplicated
+    # a parent whose element list is cut keeps a sound, coarser orbit reduction
+    # and certifies nothing: all its passing orbit rows are canonised
     full = generate.classify_column(7, 7)
     monkeypatch.setattr(canon, "ELEMENT_CAP", 2)
     cut = generate.classify_column(7, 7)
     for m in range(3, 8):
         exp = tables.expected(m, 7)
-        got = (cut[m].main_class_count, cut[m].isotopy_class_count, cut[m].total_labeled_count)
-        assert got == (exp.main, exp.iso, exp.total), m
+        assert None not in (exp.iso, exp.total), m
+        r = cut[m]
+        assert exp.agrees(r.main_class_count, r.isotopy_class_count, r.total_labeled_count), m
     assert sum(r.canonised for r in cut.values()) > sum(r.canonised for r in full.values())
     assert sum(r.certified for r in cut.values()) < sum(r.certified for r in full.values())
+
+
+def _child_classes(ext):
+    """Stats of each child class of one parent, by canonical form."""
+    out = dict(ext.children)
+    for rows, stats in ext.certified.items():
+        out[canon.canonical_form(LatinRectangle(rows)).rows] = stats
+    return out
+
+
+def test_cut_element_lists_give_each_parent_the_same_children(monkeypatch):
+    # every 3x7 and 4x7 parent
+    col = generate.classify_column(7, 4)
+    tasks = [(rows, 7, order) for m in (3, 4)
+             for rows, (order, _) in sorted(col[m].classes.items())]
+    full = [generate._process_parent(task) for task in tasks]
+    monkeypatch.setattr(canon, "ELEMENT_CAP", 2)
+    cut = [generate._process_parent(task) for task in tasks]
+    for task, a, b in zip(tasks, full, cut):
+        assert _child_classes(a) == _child_classes(b), task[0]
+    # some parent had its list cut and canonised a child it certifies in full
+    assert any(a.certified and not b.certified for a, b in zip(full, cut))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_two_row_classes_are_certified_in_closed_form(n):
+    # each cycle type's class is its canonical form, with the stats the
+    # stabilizer search gives, and no canon call is made
+    ext = generate._two_row_reps(n)
+    assert ext.canonised == 0 and not ext.children and ext.certified
+    for rows, stats in ext.certified.items():
+        form, order, iso = canon.canonical_with_order(LatinRectangle(rows))
+        assert form.rows == rows
+        assert (order, iso) == stats, rows
 
 
 def _level_stats(results):
