@@ -33,24 +33,35 @@ keeps both keys, and an automorphism a maps the leaves of a triple T one
 to one onto those of its image with equal tails (P(leaf) to P(leaf).a^-1).
 Conversely two leaves lam, mu with equal tails give the automorphism
 P(lam)^-1 . P(mu), which maps mu's triple onto lam's.  This gives the pruning
-rule (first-level orbit pruning, as in McKay & Piperno, "Practical graph
-isomorphism II", J. Symbolic Comput. 2014):
+rule (orbit pruning by the automorphisms found so far, as in McKay & Piperno,
+"Practical graph isomorphism II", J. Symbolic Comput. 60, 2014):
 
-4. A triple T whose leaf has the tail of a leaf of an earlier, fully
-   explored triple R is an image of R, and is abandoned at once: none of
-   its tails is new.  Tails are checked against the best tail, and, once an
-   automorphism has shown up, against a table of the explored triples'
-   tails (a trivial stabilizer never pays for the table).
+4. Every automorphism found is kept as a generator: P(lam)^-1 . P(mu) for
+   the two equal-tail leaves that drop a triple (below), and
+   P(first)^-1 . P(leaf) for each further minimal leaf of the triple
+   holding the best tail.  A generator g with conjugation kappa maps the
+   triple (sigma, r0, r1) onto (kappa^-1 . sigma, pi(r0), pi(r1)), where pi
+   is g's map on the image's row coordinate, and a union-find merges each
+   triple not yet reached with its images.  A triple whose class already
+   holds a fully explored triple is skipped: its tails are those of that
+   triple.  A triple T expanded anyway is dropped at its first leaf with
+   the tail of a leaf of a fully explored triple R: T is an image of R, and
+   the two leaves give a new generator mapping R onto T.  Tails are checked
+   against the best tail, and, once an automorphism has shown up, against a
+   table of the explored triples' tails.  A search that finds no
+   automorphism builds neither the table nor the union-find.
 
 The minimal leaves are a coset of Aut(s), all of them in the orbit of T*,
 the first triple holding the least tail, and T* is fully explored.  Its
-minimal leaves give the stabilizer of T* in Aut(s); the triples abandoned
-against T* are the rest of its orbit.  So, by orbit-stabilizer, the order is
-|minimal leaves of T*| x (1 + #abandoned against T*), and each abandoned
-triple's pair of equal-tail leaves gives the coset of the automorphisms
-mapping T* onto it.  The conjugations of the minimal leaves are those of the
-triples of that orbit, and they make a coset of the image of Aut(s) in the
-conjugation group: isotopy classes = |conjugations| / |image|.
+minimal leaves give Stab(T*), the stabilizer of T* in Aut(s).  Every other
+triple of its orbit is skipped or dropped, and so ends in the class of T*,
+which then is the whole orbit (each merge is by an automorphism).  So, by
+orbit-stabilizer, the order is |minimal leaves of T*| x |class of T*|.  A
+breadth-first search from T* over the generators gives a transversal, one
+automorphism mapping T* onto each triple of the orbit, and Aut(s) is the
+transversal times Stab(T*).  The conjugations of the minimal leaves are
+those of the triples of that orbit, and they make a coset of the image of
+Aut(s) in the conjugation group: isotopy classes = |conjugations| / |image|.
 """
 
 from __future__ import annotations
@@ -154,8 +165,8 @@ class _Search:
         The minimal leaves of the triple T* that holds the least tail,
         ``(sigma, row_order, col2pos)`` and at most ``ELEMENT_CAP`` of them,
         are left in ``self.leaves``, to be read once (for a single row it is
-        an iterator); ``self.twins`` holds one pair of equal-tail leaves
-        ``(leaf of T, leaf of T*)`` per triple T abandoned against T*.
+        an iterator); ``self.gens`` holds the automorphisms found, from which
+        :meth:`transversal` maps T* onto the rest of its orbit.
         """
         m, n = self.m, self.n
         if m == 1:
@@ -199,24 +210,33 @@ class _Search:
             for sg, _, _, r0, r1 in group
         ]
         least = min(invariants)
+        self.triples = [entry for entry, inv in zip(group, invariants) if inv == least]
 
         self.best_tail: list[tuple[int, ...]] | None = None
         self.owner = -1  # index of the triple holding best_tail
         self.leaf_count = 0
         self.leaves: list[tuple] = []
-        self.twins: list[tuple[tuple, tuple]] = []
+        self.gens: list[tuple[Paratopism, dict]] = []
+        # union-find over the triples, made at the first automorphism, and
+        # per root whether its class holds a fully explored triple
+        self.parent: list[int] | None = None
+        self.explored = [False] * len(self.triples)
         # tail bytes -> (triple, leaf) over the fully explored triples, filled
         # only once an automorphism has shown up (trivial stabilizers skip it)
         self.seen: dict[bytes, tuple[int, tuple]] | None = None
-        for t, (entry, inv) in enumerate(zip(group, invariants)):
-            if inv == least:
+        for t, entry in enumerate(self.triples):
+            if self.parent is None or not self.explored[self._root(t)]:
                 self._expand(t, *entry)
 
         assert self.best_tail is not None
         canon = LatinRectangle((tuple(range(n)), _type_row(best_key[1]), *self.best_tail))
-        # orbit-stabilizer over T* and the triples abandoned against it
-        conjs = {self.leaves[0][0]} | {mine[0] for mine, _ in self.twins}
-        return canon, self.leaf_count * (1 + len(self.twins)), len(self.conjs) // len(conjs)
+        # orbit-stabilizer over the class of T*, which is its whole orbit
+        orbit = [self.owner]
+        if self.parent is not None:
+            root = self._root(self.owner)
+            orbit = [u for u in range(len(self.triples)) if self._root(u) == root]
+        conjs = {self.triples[u][0] for u in orbit}
+        return canon, self.leaf_count * len(orbit), len(self.conjs) // len(conjs)
 
     # -- expansion of one (sigma, r0, r1) triple ---------------------------
 
@@ -261,6 +281,7 @@ class _Search:
             assign_block(0, 0)
         except _Abandon:
             return
+        self.explored[self._root(t)] = True
         if self.seen is not None:
             self.seen.update(self.pending)
 
@@ -281,37 +302,123 @@ class _Search:
             self.owner = t
             self.leaf_count = 0
             self.leaves = []
-            self.twins = []
         elif tail > best:
             # a hit in the table makes the current triple an image of the hit's
             key = bytes(itertools.chain.from_iterable(tail))
             hit = self.seen.get(key)
             if hit is not None:
-                self._abandon(hit, leaf)
+                self._abandon(t, hit, leaf)
             if len(self.seen) + len(self.pending) < ELEMENT_CAP:
                 self.pending.append((key, (t, leaf)))
             return
         elif self.owner != t:
             # the best tail again: the current triple is an image of its owner
-            self._abandon((self.owner, self.leaves[0]), leaf)
-        elif self.seen is None:
-            self.seen = {}  # a second minimal leaf: a nontrivial automorphism
+            self._abandon(t, (self.owner, self.leaves[0]), leaf)
+        else:
+            # a second minimal leaf: an automorphism fixing the current triple
+            self._add_generator(t, self.leaves[0], leaf)
         self.leaf_count += 1
         if self.leaf_count <= ELEMENT_CAP:
             self.leaves.append(leaf)
 
-    def _abandon(self, hit: tuple[int, tuple], leaf: tuple):
-        """Drop the current triple: ``leaf`` has the tail of ``hit``'s leaf.
+    def _abandon(self, t: int, hit: tuple[int, tuple], leaf: tuple):
+        """Drop triple ``t``: its ``leaf`` has the tail of ``hit``'s leaf.
 
         The two leaves differ by an automorphism that maps the explored triple
-        onto the current one, so the current triple adds no new tail.
+        onto triple ``t``, so ``t`` adds no new tail.
         """
         explored, theirs = hit
-        if explored == self.owner:
-            self.twins.append((leaf, theirs))
+        self._add_generator(t, leaf, theirs)
+        self._merge(t, explored)
+        raise _Abandon
+
+    # -- automorphisms and the orbits of the triples -----------------------
+
+    def _paratopism(self, leaf: tuple) -> Paratopism:
+        """P(leaf): the paratopism that sends s to the leaf's image."""
+        sigma, row_order, col2pos = leaf
+        rho = [0] * len(row_order)
+        for position, r in enumerate(row_order):
+            rho[r] = position
+        # row_order[0] becomes the identity row: its letter at column c
+        # goes to the letter col2pos[c]
+        grid = next(g for sg, g, _ in self.images if sg == sigma)
+        lam = [0] * len(col2pos)
+        for c, l in enumerate(grid[row_order[0]]):
+            lam[l] = col2pos[c]
+        return Paratopism(tuple(rho), col2pos, tuple(lam), sigma)
+
+    def _add_generator(self, t: int, mine: tuple, theirs: tuple):
+        """Keep P(mine)^-1 . P(theirs), an automorphism of s, as a generator.
+
+        It maps the triple of ``theirs`` onto that of ``mine``, and
+        ``(sigma, r0, r1)`` onto ``(conj^-1 . sigma, pi(r0), pi(r1))``, where
+        pi is its map on the image's row coordinate.  Every triple from ``t``
+        on is merged with its image: the triples before ``t`` are all in
+        classes that hold an explored triple already, so their merges could
+        not skip anything.
+        """
+        g = self._paratopism(mine).inverse().compose(self._paratopism(theirs))
+        conj_inv = [0, 0, 0]
+        for i, x in enumerate(g.conj):
+            conj_inv[x] = i
+        maps = (g.rho, g.gamma, g.lam)
+        action = {}
+        for sigma in self.conjs:
+            image = tuple(conj_inv[x] for x in sigma)
+            action[sigma] = (image, maps[image[0]])
+        self.gens.append((g, action))
         if self.seen is None:
             self.seen = {}
-        raise _Abandon
+        if self.parent is None:
+            self.parent = list(range(len(self.triples)))
+            self.index = {
+                (sg, r0, r1): u for u, (sg, _, _, r0, r1) in enumerate(self.triples)
+            }
+        # _image, inlined: this loop is the cost of a generator
+        index, triples = self.index, self.triples
+        for u in range(t, len(triples)):
+            sigma, _, _, r0, r1 = triples[u]
+            image, pi = action[sigma]
+            v = index[image, pi[r0], pi[r1]]
+            if v != u:
+                self._merge(u, v)
+
+    def _image(self, action: dict, u: int) -> int:
+        sigma, _, _, r0, r1 = self.triples[u]
+        image, pi = action[sigma]
+        return self.index[(image, pi[r0], pi[r1])]
+
+    def _root(self, u: int) -> int:
+        parent = self.parent
+        if parent is None:
+            return u
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        return u
+
+    def _merge(self, u: int, v: int):
+        ru, rv = self._root(u), self._root(v)
+        if ru != rv:
+            self.parent[ru] = rv
+            self.explored[rv] = self.explored[rv] or self.explored[ru]
+
+    def transversal(self) -> list[Paratopism | None]:
+        """One automorphism mapping T* onto each triple of its orbit.
+
+        A breadth-first search from T* over the generators; T* itself comes
+        first, with ``None`` for the identity.
+        """
+        found = {self.owner: None}
+        queue = [self.owner]
+        for u in queue:
+            c = found[u]
+            for g, action in self.gens:
+                v = self._image(action, u)
+                if v not in found:
+                    found[v] = g if c is None else g.compose(c)
+                    queue.append(v)
+        return list(found.values())
 
     # -- degenerate single-row shape ---------------------------------------
 
@@ -327,7 +434,8 @@ class _Search:
             for gamma in itertools.permutations(range(n))
         )
         self.leaves = itertools.islice(leaves, ELEMENT_CAP)
-        self.twins = []
+        self.owner = 0
+        self.gens = []
         return LatinRectangle((tuple(range(n)),)), factorial(n) * len(self.conjs), 1
 
 
@@ -336,7 +444,7 @@ class Stabilized(NamedTuple):
 
     form: LatinRectangle
     order: int  # exact stabilizer order
-    elements: list[Paratopism]  # fix the rectangle; truncated at ELEMENT_CAP
+    elements: list[Paratopism]  # fix the rectangle: transversal x Stab(T*), cut at ELEMENT_CAP
     isotopy_classes: int  # isotopy classes in the main class (1 at isotopy level)
 
 
@@ -361,28 +469,12 @@ def canonical_with_stabilizer(s: LatinRectangle, level: Level = "main") -> Stabi
     """
     search = _Search(s, level)
     canon, count, iso = search.run()
-    grids = {sigma: grid for sigma, grid, _ in search.images}
-
-    def paratopism(leaf) -> Paratopism:
-        sigma, row_order, col2pos = leaf
-        rho = [0] * len(row_order)
-        for position, r in enumerate(row_order):
-            rho[r] = position
-        # row_order[0] becomes the identity row: its letter at column c
-        # goes to the letter col2pos[c]
-        lam = [0] * len(col2pos)
-        for c, l in enumerate(grids[sigma][row_order[0]]):
-            lam[l] = col2pos[c]
-        return Paratopism(tuple(rho), col2pos, tuple(lam), sigma)
-
-    # the stabilizer of T* is g0^-1 . P(leaf) over its minimal leaves; a twin
-    # pair (leaf of T, leaf of T*) gives an automorphism c mapping T* onto T,
-    # and c composed with that stabilizer is every automorphism doing so
-    maps = [paratopism(leaf) for leaf in search.leaves]
+    # Stab(T*) is g0^-1 . P(leaf) over the minimal leaves of T*, and the
+    # transversal maps T* onto each triple of its orbit
+    maps = [search._paratopism(leaf) for leaf in search.leaves]
     g0_inv = maps[0].inverse()
     fixing = [g0_inv.compose(g) for g in maps]
-    shifts = [paratopism(mine).inverse().compose(paratopism(theirs))
-              for mine, theirs in search.twins]
+    shifts = search.transversal()[1:]
     elements = itertools.chain(fixing, (c.compose(h) for c in shifts for h in fixing))
     return Stabilized(canon, count, list(itertools.islice(elements, ELEMENT_CAP)), iso)
 

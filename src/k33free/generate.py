@@ -435,7 +435,7 @@ def classify_column(
                     raise DoubleCountError(
                         f"level {m}x{n}: parent-side total {lhs} != child-side total {rhs}"
                     )
-            _store_level(out_path, n, m, r.classes, r.raw_extensions)
+                _store_level(out_path, n, m, r.classes, r.raw_extensions)
             results[m] = r
             level_reps = r.classes
             r.seconds = time.time() - t0

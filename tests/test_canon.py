@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import random
 from math import factorial, gcd
 
@@ -195,6 +196,56 @@ def test_autotopism_group_of_a_cayley_table(spec):
     assert len(stab.elements) == stab.order
 
 
+def fixing_test(table):
+    """A test of whether g = (rho, gamma, lam, conj) maps table onto itself.
+
+    Row r of the conjugate by conj goes to row rho[r] of the table, its
+    column c to column gamma[c], and its letters are renamed by lam.
+    """
+    rows = table.rows
+    grids = {}
+    for conj in itertools.permutations(range(3)):
+        grid = [[0] * table.n for _ in range(table.m)]
+        for r, row in enumerate(rows):
+            for c, l in enumerate(row):
+                t = (r, c, l)
+                grid[t[conj[0]]][t[conj[1]]] = t[conj[2]]
+        grids[conj] = [operator.itemgetter(*row) for row in grid]
+
+    def fixes(g):
+        rho, gamma, lam, conj = g
+        moved = operator.itemgetter(*gamma)
+        return all(moved(rows[rho[r]]) == letters(lam) for r, letters in enumerate(grids[conj]))
+
+    return fixes
+
+
+#: the longest element list the paratopism oracle checks one by one (time)
+LISTED = 8_000
+
+
+def paratopism_order(spec):
+    """6 |G|^2 |Aut(G)|: every conjugate of a Cayley table is isotopic to it."""
+    return 6 * group_table(spec).n ** 2 * automorphism_count(spec)
+
+
+# left out: Z2xZ2xZ2xZ2 (see above) and the tables whose list is cut at ELEMENT_CAP
+@pytest.mark.parametrize("spec", [
+    g for g in supported_group_specs(16)
+    if g != "Z2xZ2xZ2xZ2" and paratopism_order(g) <= canon.ELEMENT_CAP
+])
+def test_paratopism_group_of_a_cayley_table(spec):
+    table, want = group_table(spec), paratopism_order(spec)
+    if want > LISTED:
+        assert canon.canonical_with_order(table)[1] == want
+        return
+    stab = canon.symmetry_group(table, "paratopism")
+    assert stab.order == want
+    elements = {(g.rho, g.gamma, g.lam, g.conj) for g in stab.elements}
+    assert len(elements) == len(stab.elements) == want
+    assert all(map(fixing_test(table), elements))
+
+
 # -- row-cycle refinement ------------------------------------------------------
 
 #: squares on which the refinement keeps every distinguished triple: every
@@ -221,25 +272,41 @@ def distinguished_triples(s):
     return keys.count(min(keys))
 
 
-def expanded_triples(s, monkeypatch):
+def kept_and_expanded_triples(s, monkeypatch):
+    """(triples the refinement keeps, triples the search expands) at main level."""
     calls = []
     real = canon._Search._expand
     monkeypatch.setattr(canon._Search, "_expand", lambda self, *a: calls.append(1) or real(self, *a))
-    canon.canonical_form(s)
+    search = canon._Search(s, "main")
+    search.run()
     monkeypatch.undo()
-    return len(calls)
+    return len(search.triples), len(calls)
 
 
 def test_refinement_ties_and_splits(monkeypatch):
     for name, make in TIED.items():
         s = make()
-        assert expanded_triples(s, monkeypatch) == distinguished_triples(s), name
+        assert kept_and_expanded_triples(s, monkeypatch)[0] == distinguished_triples(s), name
     rng = random.Random(3)
     split = 0
     for _ in range(5):
         s = random_rectangle(rng, 5, 7)
-        split += expanded_triples(s, monkeypatch) < distinguished_triples(s)
+        split += kept_and_expanded_triples(s, monkeypatch)[0] < distinguished_triples(s)
     assert split >= 3
+
+
+def test_pruning_skips_only_images_of_explored_triples(monkeypatch):
+    # the tied squares have big stabilizers, so most kept triples are images
+    # of explored ones; a trivial stabilizer leaves every kept triple to expand
+    for name, make in TIED.items():
+        kept, expanded = kept_and_expanded_triples(make(), monkeypatch)
+        assert expanded < kept, name
+    assert kept_and_expanded_triples(group_table("Z2xZ2xZ2"), monkeypatch) == (336, 5)
+    rng = random.Random(4)
+    s = random_rectangle(rng, 5, 7)
+    assert canon.canonical_with_order(s)[1] == 1
+    kept, expanded = kept_and_expanded_triples(s, monkeypatch)
+    assert expanded == kept > 1
 
 
 @functools.lru_cache(maxsize=None)

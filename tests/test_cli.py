@@ -103,6 +103,16 @@ def test_json_manifest_counts_no_canon_call_for_a_loaded_level(capsys, tmp_path)
     assert [lv["raw_extensions"] for lv in resumed] == [lv["raw_extensions"] for lv in fresh]
 
 
+def test_resumed_run_leaves_the_checkpoints_untouched(capsys, tmp_path):
+    argv = ("enumerate", "--m", "3", "--n", "6", "--work-dir", str(tmp_path))
+    assert run(capsys, *argv)[0] == 0
+    files = sorted(tmp_path.glob("level_*.json"))
+    assert [f.name for f in files] == ["level_2x6.json", "level_3x6.json"]
+    before = [(f.stat().st_mtime_ns, f.read_bytes()) for f in files]
+    assert run(capsys, *argv)[0] == 0
+    assert [(f.stat().st_mtime_ns, f.read_bytes()) for f in files] == before
+
+
 def test_census_gating(capsys):
     assert cli.main(["census", "--n-max", "9"]) == 2
     assert cli.main(["census", "--n-max", "10", "--long"]) == 2
