@@ -59,7 +59,9 @@ which then is the whole orbit (each merge is by an automorphism).  So, by
 orbit-stabilizer, the order is |minimal leaves of T*| x |class of T*|.  A
 breadth-first search from T* over the generators gives a transversal, one
 automorphism mapping T* onto each triple of the orbit, and Aut(s) is the
-transversal times Stab(T*).  The conjugations of the minimal leaves are
+transversal times Stab(T*).  So the generators, which hold Stab(T*),
+generate Aut(s): cell orbits are their closures, and the elements are
+listed only when read.  The conjugations of the minimal leaves are
 those of the triples of that orbit, and they make a coset of the image of
 Aut(s) in the conjugation group: isotopy classes = |conjugations| / |image|.
 """
@@ -68,6 +70,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from math import factorial
 from typing import NamedTuple
 
@@ -81,9 +84,9 @@ from .core import (
 
 Level = str  # 'main' | 'isotopy'
 
-#: stop materializing stabilizer elements, and storing search leaves, beyond
-#: this many (order stays exact)
-ELEMENT_CAP = 100_000
+#: the most tails the table of explored triples holds (bounds search memory;
+#: a tail left out only lets a triple be expanded that could be dropped)
+_TAIL_TABLE_CAP = 100_000
 
 
 def allowed_group_order(m: int, n: int, level: Level = "main") -> int:
@@ -158,15 +161,17 @@ class _Search:
         for sigma in self.conjs:
             t = conjugate(s, sigma)
             self.images.append((sigma, t.rows, t.column_positions()))
+        self.gens: list[Paratopism] = []
+        self.actions: list[dict] = []
 
     def run(self) -> tuple[LatinRectangle, int, int]:
         """(form, stabilizer order, isotopy classes).
 
         The minimal leaves of the triple T* that holds the least tail,
-        ``(sigma, row_order, col2pos)`` and at most ``ELEMENT_CAP`` of them,
-        are left in ``self.leaves``, to be read once (for a single row it is
-        an iterator); ``self.gens`` holds the automorphisms found, from which
-        :meth:`transversal` maps T* onto the rest of its orbit.
+        ``(sigma, row_order, col2pos)``, are left in ``self.leaves``, to be
+        read once (for a single row it is an iterator); ``self.gens`` holds
+        the automorphisms found and ``self.actions`` their maps of the
+        triples, which :meth:`elements` reads.
         """
         m, n = self.m, self.n
         if m == 1:
@@ -214,9 +219,7 @@ class _Search:
 
         self.best_tail: list[tuple[int, ...]] | None = None
         self.owner = -1  # index of the triple holding best_tail
-        self.leaf_count = 0
         self.leaves: list[tuple] = []
-        self.gens: list[tuple[Paratopism, dict]] = []
         # union-find over the triples, made at the first automorphism, and
         # per root whether its class holds a fully explored triple
         self.parent: list[int] | None = None
@@ -236,7 +239,7 @@ class _Search:
             root = self._root(self.owner)
             orbit = [u for u in range(len(self.triples)) if self._root(u) == root]
         conjs = {self.triples[u][0] for u in orbit}
-        return canon, self.leaf_count * len(orbit), len(self.conjs) // len(conjs)
+        return canon, len(self.leaves) * len(orbit), len(self.conjs) // len(conjs)
 
     # -- expansion of one (sigma, r0, r1) triple ---------------------------
 
@@ -300,7 +303,6 @@ class _Search:
         if best is None or tail < best:
             self.best_tail = tail
             self.owner = t
-            self.leaf_count = 0
             self.leaves = []
         elif tail > best:
             # a hit in the table makes the current triple an image of the hit's
@@ -308,7 +310,7 @@ class _Search:
             hit = self.seen.get(key)
             if hit is not None:
                 self._abandon(t, hit, leaf)
-            if len(self.seen) + len(self.pending) < ELEMENT_CAP:
+            if len(self.seen) + len(self.pending) < _TAIL_TABLE_CAP:
                 self.pending.append((key, (t, leaf)))
             return
         elif self.owner != t:
@@ -317,9 +319,7 @@ class _Search:
         else:
             # a second minimal leaf: an automorphism fixing the current triple
             self._add_generator(t, self.leaves[0], leaf)
-        self.leaf_count += 1
-        if self.leaf_count <= ELEMENT_CAP:
-            self.leaves.append(leaf)
+        self.leaves.append(leaf)
 
     def _abandon(self, t: int, hit: tuple[int, tuple], leaf: tuple):
         """Drop triple ``t``: its ``leaf`` has the tail of ``hit``'s leaf.
@@ -367,7 +367,8 @@ class _Search:
         for sigma in self.conjs:
             image = tuple(conj_inv[x] for x in sigma)
             action[sigma] = (image, maps[image[0]])
-        self.gens.append((g, action))
+        self.gens.append(g)
+        self.actions.append(action)
         if self.seen is None:
             self.seen = {}
         if self.parent is None:
@@ -375,7 +376,7 @@ class _Search:
             self.index = {
                 (sg, r0, r1): u for u, (sg, _, _, r0, r1) in enumerate(self.triples)
             }
-        # _image, inlined: this loop is the cost of a generator
+        # this loop is the cost of a generator
         index, triples = self.index, self.triples
         for u in range(t, len(triples)):
             sigma, _, _, r0, r1 = triples[u]
@@ -383,11 +384,6 @@ class _Search:
             v = index[image, pi[r0], pi[r1]]
             if v != u:
                 self._merge(u, v)
-
-    def _image(self, action: dict, u: int) -> int:
-        sigma, _, _, r0, r1 = self.triples[u]
-        image, pi = action[sigma]
-        return self.index[(image, pi[r0], pi[r1])]
 
     def _root(self, u: int) -> int:
         parent = self.parent
@@ -403,22 +399,28 @@ class _Search:
             self.parent[ru] = rv
             self.explored[rv] = self.explored[rv] or self.explored[ru]
 
-    def transversal(self) -> list[Paratopism | None]:
-        """One automorphism mapping T* onto each triple of its orbit.
+    def elements(self) -> list[Paratopism]:
+        """Every automorphism: a transversal times Stab(T*).
 
-        A breadth-first search from T* over the generators; T* itself comes
-        first, with ``None`` for the identity.
+        Stab(T*) is P(first)^-1 . P(leaf) over the minimal leaves of T*.  The
+        transversal, one automorphism mapping T* onto each other triple of its
+        orbit, comes from a breadth-first search from T* over the generators.
         """
-        found = {self.owner: None}
+        maps = [self._paratopism(leaf) for leaf in self.leaves]
+        g0_inv = maps[0].inverse()
+        fixing = [g0_inv.compose(g) for g in maps]
+        shifts = {self.owner: None}
         queue = [self.owner]
         for u in queue:
-            c = found[u]
-            for g, action in self.gens:
-                v = self._image(action, u)
-                if v not in found:
-                    found[v] = g if c is None else g.compose(c)
+            c = shifts[u]
+            for g, action in zip(self.gens, self.actions):
+                sigma, _, _, r0, r1 = self.triples[u]
+                image, pi = action[sigma]
+                v = self.index[image, pi[r0], pi[r1]]
+                if v not in shifts:
+                    shifts[v] = g if c is None else g.compose(c)
                     queue.append(v)
-        return list(found.values())
+        return fixing + [c.compose(h) for c in list(shifts.values())[1:] for h in fixing]
 
     # -- degenerate single-row shape ---------------------------------------
 
@@ -426,17 +428,42 @@ class _Search:
         # any single row normalizes to the identity, so every column map,
         # under every conjugation, is a minimal leaf (its letter map is
         # forced) and the main class is one isotopy class; the leaves are
-        # produced lazily, as canonical_form never reads them
+        # produced lazily, as only a listing of the elements reads them.
+        # The leaves make one pseudo-triple T*, which every generator fixes
+        # (so no action is kept): the n-cycle and a transposition of the
+        # columns, letters following, and each other conjugation
         n = self.n
-        leaves = (
-            (sigma, [0], gamma)
-            for sigma in self.conjs
-            for gamma in itertools.permutations(range(n))
+        identity = tuple(range(n))
+        self.leaves = (
+            (sg, [0], gamma) for sg in self.conjs for gamma in itertools.permutations(identity)
         )
-        self.leaves = itertools.islice(leaves, ELEMENT_CAP)
         self.owner = 0
-        self.gens = []
-        return LatinRectangle((tuple(range(n)),)), factorial(n) * len(self.conjs), 1
+        moves = [(CONJ_ID, [0], identity[1:] + identity[:1])]
+        moves += [(CONJ_ID, [0], identity[1::-1] + identity[2:])]
+        moves += [(sigma, [0], identity) for sigma in self.conjs[1:]]
+        g0_inv = self._paratopism((CONJ_ID, [0], identity)).inverse()
+        self.gens = [g0_inv.compose(self._paratopism(leaf)) for leaf in moves]
+        return LatinRectangle((identity,)), factorial(n) * len(self.conjs), 1
+
+
+class _Listed(Sequence):
+    """The list that ``build()`` returns, built at its first read."""
+
+    def __init__(self, build):
+        self._build = build
+
+    @functools.cached_property
+    def _items(self) -> list:
+        return self._build()
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, i):
+        return self._items[i]
+
+    def __iter__(self):
+        return iter(self._items)
 
 
 class Stabilized(NamedTuple):
@@ -444,8 +471,9 @@ class Stabilized(NamedTuple):
 
     form: LatinRectangle
     order: int  # exact stabilizer order
-    elements: list[Paratopism]  # fix the rectangle: transversal x Stab(T*), cut at ELEMENT_CAP
+    elements: Sequence[Paratopism]  # every element fixing the rectangle, listed at first read
     isotopy_classes: int  # isotopy classes in the main class (1 at isotopy level)
+    generators: list[Paratopism]  # automorphisms that generate the whole stabilizer
 
 
 def canonical_with_order(
@@ -461,22 +489,14 @@ def canonical_form(s: LatinRectangle, level: Level = "main") -> LatinRectangle:
 
 
 def canonical_with_stabilizer(s: LatinRectangle, level: Level = "main") -> Stabilized:
-    """Canonical form, stabilizer order and elements, and isotopy class count.
+    """Canonical form, stabilizer order, elements and generators, isotopy classes.
 
-    The elements fix ``s`` itself (not the canonical form) and their conj
-    component is the identity when ``level == 'isotopy'``.  The isotopy
-    class count is exact even when the element list is truncated.
+    The elements and generators fix ``s`` itself (not the canonical form)
+    and their conj component is the identity when ``level == 'isotopy'``.
     """
     search = _Search(s, level)
     canon, count, iso = search.run()
-    # Stab(T*) is g0^-1 . P(leaf) over the minimal leaves of T*, and the
-    # transversal maps T* onto each triple of its orbit
-    maps = [search._paratopism(leaf) for leaf in search.leaves]
-    g0_inv = maps[0].inverse()
-    fixing = [g0_inv.compose(g) for g in maps]
-    shifts = search.transversal()[1:]
-    elements = itertools.chain(fixing, (c.compose(h) for c in shifts for h in fixing))
-    return Stabilized(canon, count, list(itertools.islice(elements, ELEMENT_CAP)), iso)
+    return Stabilized(canon, count, _Listed(search.elements), iso, search.gens)
 
 
 def symmetry_group(s: LatinRectangle, kind: str = "autotopism") -> Stabilized:
@@ -490,26 +510,23 @@ def symmetry_group(s: LatinRectangle, kind: str = "autotopism") -> Stabilized:
 
 
 def cell_orbits(group: Stabilized, s: LatinRectangle) -> list[set[tuple[int, int]]]:
-    """Orbit partition of the cells of s under the stabilizer elements.
+    """Orbit partition of the cells of s under the stabilizer.
 
-    A complete element list is the whole group, so the orbit of a cell is
-    the set of its images, and each orbit is built from one cell not yet
-    covered (#orbits x |elements| images).  When the list was cut at
-    ``ELEMENT_CAP`` (fewer elements than the group order) each block is the
-    uncovered part of some images, still inside a true orbit, so the
-    partition can be finer than the true orbits.
+    The stabilizer permutes the triples (r, c, s[r][c]) of s, so it permutes
+    the cells.  The orbit of a cell is its closure under the generators,
+    grown breadth first: #cells x |generators| images, and no element listed.
     """
     covered: set[tuple[int, int]] = set()
     orbits = []
-    for r, row in enumerate(s.rows):
-        for c, l in enumerate(row):
-            if (r, c) in covered:
-                continue
-            orbit = {(r, c)}
-            for g in group.elements:
-                t = g.act_triple((r, c, l))
-                orbit.add((t[0], t[1]))
-            orbit -= covered
-            covered |= orbit
-            orbits.append(orbit)
+    for cell in itertools.product(range(s.m), range(s.n)):
+        if cell not in covered:
+            covered.add(cell)
+            orbit = [cell]
+            for r, c in orbit:
+                for g in group.generators:
+                    image = g.act_triple((r, c, s.rows[r][c]))[:2]
+                    if image not in covered:
+                        covered.add(image)
+                        orbit.append(image)
+            orbits.append(set(orbit))
     return orbits

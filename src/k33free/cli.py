@@ -175,7 +175,6 @@ def cmd_symmetry(args, report: Report) -> int:
     group = canon.symmetry_group(s, args.kind)
     orbits = canon.cell_orbits(group, s)
     sizes = sorted(len(o) for o in orbits)
-    truncated = len(group.elements) < group.order
     report.say(
         f"{args.kind} group order {group.order}; "
         f"{len(orbits)} cell orbit(s) of sizes {sizes}",
@@ -183,13 +182,7 @@ def cmd_symmetry(args, report: Report) -> int:
         cell_orbits=len(orbits),
         orbit_sizes=sizes,
         transitive=len(orbits) == 1,
-        truncated=truncated,
     )
-    if truncated:
-        report.lines.append(
-            f"  truncated: orbits from {len(group.elements)} of {group.order} "
-            "elements; the true orbits may be fewer and larger"
-        )
     return 0
 
 

@@ -32,11 +32,7 @@ between two such children maps r to r' and fixes P), so it needs no
 deduplication; its multiset of row invariants keeps it apart from the
 classes with a tie, which are canonised and deduplicated by canonical form.
 Certified children keep the rows P + r as their representative, which is
-then not a canonical form.  Squares are canonised.  So are the children of
-a parent whose stabilizer element list was cut at ``canon.ELEMENT_CAP``:
-its elements still map each child onto an isomorphic one, so the orbit
-reduction stays sound, but the orbit sizes it counts may be too small for
-certification.
+then not a canonical form.  Squares are canonised.
 
 Level 2 needs no canon call.  The second rows of the identity row are the
 derangements, and two of them give isomorphic rectangles iff they have the
@@ -224,11 +220,7 @@ def _orbit_representatives(
     elements that fix it.  The elements fix the parent rows, so each maps a
     child to the child with the image row; marking every image of a kept row
     costs orbits x |stab| instead of rows x |stab|.  Orbits are disjoint, so
-    an orbit's size is the number of images it adds to ``seen``.  Both are
-    exact only for a complete element list.  A list cut at
-    ``canon.ELEMENT_CAP`` still maps each skipped row's child onto a kept
-    row's child of the same class, so the reduction stays sound, but its
-    sizes and conjugations may fall short.
+    an orbit's size is the number of images it adds to ``seen``.
     """
     seen: set[tuple[int, ...]] = set()
     kept = []
@@ -302,9 +294,8 @@ def _process_parent(args) -> Extension:
     ``args`` is (rows, n, stabilizer order as stored with the parent's
     level).  A parent of order 1 has the identity as its whole stabilizer,
     so it needs no stabilizer search.  One passing row per orbit is kept: it
-    is certified if it is the ``ONLY_GREATEST`` and the element list is
-    complete, else canonised, and canonised children are deduplicated by
-    canonical form within the parent.
+    is certified if it is the ``ONLY_GREATEST``, else canonised, and
+    canonised children are deduplicated by canonical form within the parent.
     """
     parent_rows, n, order = args
     parent = LatinRectangle(parent_rows)
@@ -325,11 +316,10 @@ def _process_parent(args) -> Extension:
         else:
             stab = canon.canonical_with_stabilizer(parent, "main")
             order, elements = stab.order, stab.elements
-        complete = len(elements) == order
         conjs = len(shape_preserving_conjs(parent.m + 1, n))
         for row, orbit, fixing in _orbit_representatives(rows, elements):
             v = verdict(row)
-            if v == ONLY_GREATEST and complete:
+            if v == ONLY_GREATEST:
                 certified[parent_rows + (row,)] = (order // orbit, conjs // len(fixing))
             elif v:
                 form, child_order, iso = canon.canonical_with_order(

@@ -110,10 +110,12 @@ def test_cell_orbits_partition():
 
 @pytest.mark.parametrize("kind, count", [("autotopism", 8), ("paratopism", 4)])
 def test_cell_orbits_match_the_closure_on_fig6(kind, count):
-    # the closure of each cell under the elements, grown until it is stable
+    # cell_orbits grows orbits from the generators; the oracle is the closure
+    # of each cell under the full element list, grown until it is stable
     s = fixtures.load("fig6")
     group = canon.symmetry_group(s, kind)
     assert len(group.elements) == group.order
+    assert generated(group, s) == {(g.rho, g.gamma, g.lam, g.conj) for g in group.elements}
     closures = set()
     for cell in itertools.product(range(s.m), range(s.n)):
         orbit, frontier = {cell}, [cell]
@@ -158,6 +160,20 @@ def brute_force_stabilizer(s, level):
     return found
 
 
+def generated(stab, s):
+    """The group that ``stab.generators`` generate, closed under composition."""
+    identity = Paratopism(tuple(range(s.m)), tuple(range(s.n)), tuple(range(s.n)))
+    found = {identity}
+    queue = [identity]
+    for h in queue:
+        for g in stab.generators:
+            image = g.compose(h)
+            if image not in found:
+                found.add(image)
+                queue.append(image)
+    return {(g.rho, g.gamma, g.lam, g.conj) for g in found}
+
+
 @pytest.mark.parametrize("level", ["main", "isotopy"])
 def test_stabilizer_elements_equal_brute_force(level):
     rng = random.Random(17)
@@ -165,10 +181,10 @@ def test_stabilizer_elements_equal_brute_force(level):
     rects += [random_rectangle(rng, m, n) for m, n in [(3, 5), (4, 5), (3, 6), (2, 6)]]
     for s in rects:
         stab = canon.canonical_with_stabilizer(s, level)
-        assert {(g.rho, g.gamma, g.lam, g.conj) for g in stab.elements} == (
-            brute_force_stabilizer(s, level)
-        )
+        want = brute_force_stabilizer(s, level)
+        assert {(g.rho, g.gamma, g.lam, g.conj) for g in stab.elements} == want
         assert len(stab.elements) == stab.order
+        assert generated(stab, s) == want
 
 
 #: |Aut(G)| of the supported groups that are neither cyclic nor dihedral
@@ -229,11 +245,7 @@ def paratopism_order(spec):
     return 6 * group_table(spec).n ** 2 * automorphism_count(spec)
 
 
-# left out: Z2xZ2xZ2xZ2 (see above) and the tables whose list is cut at ELEMENT_CAP
-@pytest.mark.parametrize("spec", [
-    g for g in supported_group_specs(16)
-    if g != "Z2xZ2xZ2xZ2" and paratopism_order(g) <= canon.ELEMENT_CAP
-])
+@pytest.mark.parametrize("spec", [g for g in supported_group_specs(16) if g != "Z2xZ2xZ2xZ2"])
 def test_paratopism_group_of_a_cayley_table(spec):
     table, want = group_table(spec), paratopism_order(spec)
     if want > LISTED:
@@ -372,15 +384,6 @@ def test_isotopy_classes_from_the_stabilizer():
     assert max(got) > 1
 
 
-def test_isotopy_classes_exact_when_elements_are_truncated(monkeypatch):
-    fig3_b = fixtures.load("fig3_b")
-    full = canon.canonical_with_stabilizer(fig3_b)
-    monkeypatch.setattr(canon, "ELEMENT_CAP", 2)
-    cut = canon.canonical_with_stabilizer(fig3_b)
-    assert len(cut.elements) == 2 < cut.order == full.order
-    assert cut.isotopy_classes == full.isotopy_classes == 3
-
-
 # -- single rows -----------------------------------------------------------------
 
 
@@ -391,14 +394,9 @@ def test_single_row_stabilizer_is_listed_in_full(n):
     assert stab.order == factorial(n) * 2 == len(stab.elements)
     assert all(apply(g, row).rows == row.rows for g in stab.elements)
     assert len({(g.gamma, g.lam, g.conj) for g in stab.elements}) == stab.order
+    assert generated(stab, row) == {(g.rho, g.gamma, g.lam, g.conj) for g in stab.elements}
     assert len(canon.cell_orbits(stab, row)) == 1
     assert stab.isotopy_classes == 1
-
-
-def test_single_row_elements_stop_at_the_cap(monkeypatch):
-    monkeypatch.setattr(canon, "ELEMENT_CAP", 7)
-    stab = canon.canonical_with_stabilizer(LatinRectangle((tuple(range(5)),)))
-    assert len(stab.elements) == 7 < stab.order == 240
 
 
 # -- the canonical forms since checkpoint version 2 ---------------------------------

@@ -210,12 +210,17 @@ def test_canon_idempotent(capsys, fx):
     assert parse(out2).rows != form.rows
 
 
+#: every key of a JSON symmetry report: the results are exact, so none marks a cut
+SYMMETRY_KEYS = {"command", "parameters", "version", "input_hashes", "seconds",
+                 "order", "cell_orbits", "orbit_sizes", "transitive"}
+
+
 def test_symmetry(capsys, fx):
     code, out = run(capsys, "--format", "json", "symmetry", "--kind",
                     "autotopism", fx("fig3_a"))
     data = json.loads(out)
     assert data["order"] == 64 and data["transitive"] is True
-    assert data["truncated"] is False
+    assert set(data) == SYMMETRY_KEYS
 
 
 def test_symmetry_of_a_single_row_is_listed_in_full(capsys, tmp_path):
@@ -224,19 +229,16 @@ def test_symmetry_of_a_single_row_is_listed_in_full(capsys, tmp_path):
     code, out = run(capsys, "--format", "json", "symmetry", "--kind", "paratopism", str(row))
     data = json.loads(out)
     assert code == 0 and data["order"] == 10080
-    assert data["cell_orbits"] == 1 and data["truncated"] is False
+    assert data["cell_orbits"] == 1 and set(data) == SYMMETRY_KEYS
 
 
-def test_symmetry_marks_truncated_orbits(capsys, fx, monkeypatch):
-    from k33free import canon
-
-    monkeypatch.setattr(canon, "ELEMENT_CAP", 2)
-    code, out = run(capsys, "--format", "json", "symmetry", fx("fig3_a"))
+def test_symmetry_of_a_long_row_is_exact(capsys, tmp_path):
+    # 10! x 2 paratopisms, transitive on the cells
+    row = tmp_path / "row.txt"
+    row.write_text("1 10\n" + " ".join(map(str, range(10))) + "\n")
+    code, out = run(capsys, "--format", "json", "symmetry", "--kind", "paratopism", str(row))
     data = json.loads(out)
-    assert code == 0 and data["order"] == 64 and data["truncated"] is True
-    assert data["cell_orbits"] > 1  # the full group is transitive
-    code, out = run(capsys, "symmetry", fx("fig3_a"))
-    assert code == 0 and out.count("truncated") == 1
+    assert code == 0 and data["order"] == 7_257_600 and data["cell_orbits"] == 1
 
 
 def test_combine_and_switch(capsys, fx, tmp_path):

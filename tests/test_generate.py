@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_rectangles
-from k33free import canon, generate, tables
+from k33free import canon, generate
 from k33free.core import CONJ_CL, CONJ_ID, LatinError, LatinRectangle, Paratopism, apply
 from k33free.pattern import is_k33_free
 
@@ -203,43 +203,6 @@ def test_certified_stats_match_the_stabilizer_search(n, levels, sample):
     for rows, (order, iso) in children:
         stab = canon.canonical_with_stabilizer(LatinRectangle(rows))
         assert (stab.order, stab.isotopy_classes) == (order, iso), rows
-
-
-def test_cut_element_lists_fall_back_to_canonisation(monkeypatch):
-    # a parent whose element list is cut keeps a sound, coarser orbit reduction
-    # and certifies nothing: all its passing orbit rows are canonised
-    full = generate.classify_column(7, 7)
-    monkeypatch.setattr(canon, "ELEMENT_CAP", 2)
-    cut = generate.classify_column(7, 7)
-    for m in range(3, 8):
-        exp = tables.expected(m, 7)
-        assert None not in (exp.iso, exp.total), m
-        r = cut[m]
-        assert exp.agrees(r.main_class_count, r.isotopy_class_count, r.total_labeled_count), m
-    assert sum(r.canonised for r in cut.values()) > sum(r.canonised for r in full.values())
-    assert sum(r.certified for r in cut.values()) < sum(r.certified for r in full.values())
-
-
-def _child_classes(ext):
-    """Stats of each child class of one parent, by canonical form."""
-    out = dict(ext.children)
-    for rows, stats in ext.certified.items():
-        out[canon.canonical_form(LatinRectangle(rows)).rows] = stats
-    return out
-
-
-def test_cut_element_lists_give_each_parent_the_same_children(monkeypatch):
-    # every 3x7 and 4x7 parent
-    col = generate.classify_column(7, 4)
-    tasks = [(rows, 7, order) for m in (3, 4)
-             for rows, (order, _) in sorted(col[m].classes.items())]
-    full = [generate._process_parent(task) for task in tasks]
-    monkeypatch.setattr(canon, "ELEMENT_CAP", 2)
-    cut = [generate._process_parent(task) for task in tasks]
-    for task, a, b in zip(tasks, full, cut):
-        assert _child_classes(a) == _child_classes(b), task[0]
-    # some parent had its list cut and canonised a child it certifies in full
-    assert any(a.certified and not b.certified for a, b in zip(full, cut))
 
 
 @pytest.mark.parametrize("n", range(2, 11))
