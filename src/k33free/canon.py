@@ -48,8 +48,9 @@ rule (orbit pruning by the automorphisms found so far, as in McKay & Piperno,
    the tail of a leaf of a fully explored triple R: T is an image of R, and
    the two leaves give a new generator mapping R onto T.  Tails are checked
    against the best tail, and, once an automorphism has shown up, against a
-   table of the explored triples' tails.  A search that finds no
-   automorphism builds neither the table nor the union-find.
+   table of the explored triples' tails.  The union-find is always built,
+   at no measured cost; the table starts at the first automorphism, since
+   filling it in the many searches that find none slows the census.
 
 The minimal leaves are a coset of Aut(s), all of them in the orbit of T*,
 the first triple holding the least tail, and T* is fully explored.  Its
@@ -89,11 +90,9 @@ Level = str  # 'main' | 'isotopy'
 _TAIL_TABLE_CAP = 100_000
 
 
-def allowed_group_order(m: int, n: int, level: Level = "main") -> int:
-    base = factorial(m) * factorial(n) ** 2
-    if level == "isotopy":
-        return base
-    return base * len(shape_preserving_conjs(m, n))
+def allowed_group_order(m: int, n: int) -> int:
+    """Order of the main-class group of the m-by-n shape."""
+    return factorial(m) * factorial(n) ** 2 * len(shape_preserving_conjs(m, n))
 
 
 def _cycles_of(perm: tuple[int, ...]) -> list[list[int]]:
@@ -220,24 +219,23 @@ class _Search:
         self.best_tail: list[tuple[int, ...]] | None = None
         self.owner = -1  # index of the triple holding best_tail
         self.leaves: list[tuple] = []
-        # union-find over the triples, made at the first automorphism, and
-        # per root whether its class holds a fully explored triple
-        self.parent: list[int] | None = None
+        # union-find over the triples, and per root whether its class holds
+        # a fully explored triple
+        self.parent = list(range(len(self.triples)))
+        self.index = {(sg, r0, r1): u for u, (sg, _, _, r0, r1) in enumerate(self.triples)}
         self.explored = [False] * len(self.triples)
         # tail bytes -> (triple, leaf) over the fully explored triples, filled
         # only once an automorphism has shown up (trivial stabilizers skip it)
         self.seen: dict[bytes, tuple[int, tuple]] | None = None
         for t, entry in enumerate(self.triples):
-            if self.parent is None or not self.explored[self._root(t)]:
+            if not self.explored[self._root(t)]:
                 self._expand(t, *entry)
 
         assert self.best_tail is not None
         canon = LatinRectangle((tuple(range(n)), _type_row(best_key[1]), *self.best_tail))
         # orbit-stabilizer over the class of T*, which is its whole orbit
-        orbit = [self.owner]
-        if self.parent is not None:
-            root = self._root(self.owner)
-            orbit = [u for u in range(len(self.triples)) if self._root(u) == root]
+        root = self._root(self.owner)
+        orbit = [u for u in range(len(self.triples)) if self._root(u) == root]
         conjs = {self.triples[u][0] for u in orbit}
         return canon, len(self.leaves) * len(orbit), len(self.conjs) // len(conjs)
 
@@ -371,11 +369,6 @@ class _Search:
         self.actions.append(action)
         if self.seen is None:
             self.seen = {}
-        if self.parent is None:
-            self.parent = list(range(len(self.triples)))
-            self.index = {
-                (sg, r0, r1): u for u, (sg, _, _, r0, r1) in enumerate(self.triples)
-            }
         # this loop is the cost of a generator
         index, triples = self.index, self.triples
         for u in range(t, len(triples)):
@@ -387,8 +380,6 @@ class _Search:
 
     def _root(self, u: int) -> int:
         parent = self.parent
-        if parent is None:
-            return u
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         return u

@@ -34,14 +34,6 @@ from .core import (
 from .pattern import find_induced_ktt, find_k33
 
 
-def _read_square(path: str) -> LatinRectangle:
-    return parse(Path(path).read_text())
-
-
-def _file_hash(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 class Report:
     """Accumulates text lines and JSON fields for one command run."""
 
@@ -55,8 +47,12 @@ class Report:
         }
         self.t0 = time.time()
 
-    def hash_input(self, path: str) -> None:
-        self.data["input_hashes"][path] = _file_hash(path)
+    def read(self, path: str) -> str:
+        """The input file's text, decoded as UTF-8; the sha256 of the bytes
+        read goes into ``input_hashes``."""
+        data = Path(path).read_bytes()
+        self.data["input_hashes"][path] = hashlib.sha256(data).hexdigest()
+        return data.decode("utf-8")
 
     def say(self, line: str, **fields) -> None:
         self.lines.append(line)
@@ -81,8 +77,7 @@ class Report:
 def cmd_check(args, report: Report) -> int:
     if args.max_witnesses < 0:
         raise ValueError(f"--max-witnesses must be at least 0, got {args.max_witnesses}")
-    s = _read_square(args.file)
-    report.hash_input(args.file)
+    s = parse(report.read(args.file))
     witnesses = sorted(find_k33(s), key=lambda w: w.cells)
     free = not witnesses
     report.say(f"K3,3-free: {str(free).lower()}", free=free,
@@ -162,16 +157,14 @@ def cmd_census(args, report: Report) -> int:
 
 
 def cmd_canon(args, report: Report) -> int:
-    s = _read_square(args.file)
-    report.hash_input(args.file)
+    s = parse(report.read(args.file))
     form = canon.canonical_form(s, args.level)
     report.say(serialize(form).rstrip("\n"), canonical=[list(r) for r in form.rows])
     return 0
 
 
 def cmd_symmetry(args, report: Report) -> int:
-    s = _read_square(args.file)
-    report.hash_input(args.file)
+    s = parse(report.read(args.file))
     group = canon.symmetry_group(s, args.kind)
     orbits = canon.cell_orbits(group, s)
     sizes = sorted(len(o) for o in orbits)
@@ -187,12 +180,9 @@ def cmd_symmetry(args, report: Report) -> int:
 
 
 def cmd_combine(args, report: Report) -> int:
-    a0, a1 = _read_square(args.a0), _read_square(args.a1)
-    report.hash_input(args.a0)
-    report.hash_input(args.a1)
+    a0, a1 = parse(report.read(args.a0)), parse(report.read(args.a1))
     if args.switch:
-        s = SwitchingMatrix.parse(Path(args.switch).read_text())
-        report.hash_input(args.switch)
+        s = SwitchingMatrix.parse(report.read(args.switch))
     else:
         s = SwitchingMatrix.zeros(a0.n)
     square = switched_combination(a0, a1, s)
@@ -204,8 +194,7 @@ def cmd_combine(args, report: Report) -> int:
 def cmd_find_free(args, report: Report) -> int:
     if args.order is not None and args.order < 1:
         raise ValueError(f"--order must be at least 1, got {args.order}")
-    squares = parse_catalog(Path(args.catalog).read_text())
-    report.hash_input(args.catalog)
+    squares = parse_catalog(report.read(args.catalog))
     if len(squares) % 2:
         raise LatinError("catalog must hold an even number of squares (pairs)")
     pairs = [(squares[i], squares[i + 1]) for i in range(0, len(squares), 2)]
@@ -241,9 +230,10 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _parse_function(path: str, s: LatinRectangle) -> spectral.CellFunction:
+def _parse_function(path: str, text: str, s: LatinRectangle) -> spectral.CellFunction:
+    """The cell function in ``text`` on the square s; ``path`` names it in errors."""
     values = {}
-    for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for ln, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -258,10 +248,8 @@ def _parse_function(path: str, s: LatinRectangle) -> spectral.CellFunction:
 
 
 def cmd_verify_eigen(args, report: Report) -> int:
-    s = _read_square(args.file)
-    report.hash_input(args.file)
-    f = _parse_function(args.function, s)
-    report.hash_input(args.function)
+    s = parse(report.read(args.file))
+    f = _parse_function(args.function, report.read(args.function), s)
     ok = spectral.check_eigenfunction(s, f, _fraction(args.theta))
     report.say(f"eigenfunction at theta={args.theta}: {str(ok).lower()}",
                verified=ok, support=len(f.support))
@@ -269,16 +257,14 @@ def cmd_verify_eigen(args, report: Report) -> int:
 
 
 def cmd_min_trade(args, report: Report) -> int:
-    s = _read_square(args.file)
-    report.hash_input(args.file)
+    s = parse(report.read(args.file))
     vol = spectral.min_trade_volume(s, cap=args.cap)
     report.say(f"minimum trade volume (cap {args.cap}): {vol}", volume=vol)
     return 0
 
 
 def cmd_mols_check(args, report: Report) -> int:
-    squares = parse_catalog(Path(args.file).read_text())
-    report.hash_input(args.file)
+    squares = parse_catalog(report.read(args.file))
     witnesses = find_induced_ktt(tuple(squares), args.t)
     free = not witnesses
     report.say(

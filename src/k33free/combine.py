@@ -11,8 +11,7 @@ destroys it.  Killing every witness of the 0-combination is therefore a
 linear system over GF(2): one equation per footprint, asking for odd
 switching parity on its blocks.  A footprint is carried from the witness
 scan to the system as one int bit mask over the n*n switching variables
-(bit i*n + j is block (i, j)), which is also the equation's row word; its
-set of block coordinates is derived from the mask only when asked for.
+(bit i*n + j is block (i, j)), which is also the equation's row word.
 Most systems have no solution, so the search streams each pair's
 equations from the scan into elimination and stops at the first that
 reduces to 0 = 1.
@@ -73,18 +72,12 @@ class BlockPattern:
     ``mask`` has bit ``i*n + j`` set when the witness has a cell in block
     (i, j) of the order-n switching matrix, which is the GF(2) support of
     the witness's equation.  Ints are not tracked by the cyclic GC, so tens
-    of thousands of footprints cost it nothing; ``blocks`` spells the mask
-    out as a set of (i, j) block coordinates.
+    of thousands of footprints cost it nothing.
     """
 
     witness: PatternOccurrence
     mask: int
     n: int
-
-    @property
-    def blocks(self) -> frozenset[tuple[int, int]]:
-        n, mask = self.n, self.mask
-        return frozenset(divmod(b, n) for b in range(n * n) if mask >> b & 1)
 
 
 def switched_combination(
@@ -108,14 +101,16 @@ def switched_combination(
 
 
 def _footprints(
-    witnesses: Iterable[PatternOccurrence], n: int, orthogonal: bool
+    witnesses: Iterable[PatternOccurrence], n: int
 ) -> Iterator[tuple[PatternOccurrence, int]]:
-    """Each witness of an order-2n 0-combination with its block mask.
+    """Each witness of the order-2n 0-combination of an orthogonal pair
+    with its block mask.
 
     A witness's cells are (r1, c2), (r1, c3), (r2, c3), (r2, c1), (r3, c1)
     and (r3, c2), so its mask is read off its rows and columns: the block
     row of row r starts at bit ``shift[r]``, and column c sets ``col_bit[c]``
-    within it.  Orthogonal inputs force exactly six blocks per mask.
+    within it.  Orthogonality forces exactly six blocks per mask, so any
+    other count raises :class:`LatinError`.
     """
     shift = [i // 2 * n for i in range(2 * n)]
     col_bit = [1 << j // 2 for j in range(2 * n)]
@@ -124,9 +119,9 @@ def _footprints(
         c1, c2, c3 = w.cols
         b1, b2, b3 = col_bit[c1], col_bit[c2], col_bit[c3]
         mask = (b2 | b3) << shift[r1] | (b3 | b1) << shift[r2] | (b1 | b2) << shift[r3]
-        if orthogonal and mask.bit_count() != 6:
+        if mask.bit_count() != 6:
             raise LatinError(
-                f"orthogonal pair produced a {mask.bit_count()}-block witness"
+                f"a {mask.bit_count()}-block witness footprint: the pair is not orthogonal"
             )
         yield w, mask
 
@@ -134,17 +129,14 @@ def _footprints(
 def block_patterns(
     pair: tuple[LatinRectangle, LatinRectangle], zero_comb: LatinRectangle
 ) -> list[BlockPattern]:
-    """Footprints of all K3,3 witnesses of the 0-combination.
+    """Footprints of all K3,3 witnesses of the 0-combination of an
+    orthogonal pair, each spanning exactly six blocks.
 
-    Orthogonal inputs force every footprint to exactly six blocks; a
-    smaller footprint is returned as-is and certifies non-orthogonality.
+    A footprint of any other size shows that the pair is not orthogonal,
+    and raises :class:`LatinError`.
     """
     n = pair[0].n
-    orthogonal = is_orthogonal(pair[0], pair[1])
-    return [
-        BlockPattern(w, mask, n)
-        for w, mask in _footprints(find_k33(zero_comb), n, orthogonal)
-    ]
+    return [BlockPattern(w, mask, n) for w, mask in _footprints(find_k33(zero_comb), n)]
 
 
 def _first_contradiction(zero_comb: LatinRectangle, n: int) -> int | None:
@@ -155,7 +147,7 @@ def _first_contradiction(zero_comb: LatinRectangle, n: int) -> int | None:
     unsolvable system is rejected without scanning its remaining witnesses.
     """
     rhs = 1 << n * n
-    words = (mask | rhs for _, mask in _footprints(_scan(zero_comb), n, True))
+    words = (mask | rhs for _, mask in _footprints(_scan(zero_comb), n))
     return _eliminate(words, n * n)[2]
 
 

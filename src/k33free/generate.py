@@ -187,7 +187,7 @@ class ClassificationResult:
 
     @property
     def total_labeled_count(self) -> int:
-        group = canon.allowed_group_order(self.m, self.n, "main")
+        group = canon.allowed_group_order(self.m, self.n)
         return sum(group // order for order, _ in self.classes.values())
 
 
@@ -408,7 +408,7 @@ def classify_column(
                     canonised += ext.canonised
                     certified += len(ext.certified)
                     lhs += (
-                        canon.allowed_group_order(m - 1, n, "main")
+                        canon.allowed_group_order(m - 1, n)
                         // level_reps[rows][0]
                         * ext.raw
                     )
@@ -509,7 +509,7 @@ def _load_level(out_path, n, m):
         payload = json.loads(f.read_text())
         version, shape = payload.get("version"), (payload.get("m"), payload.get("n"))
         if version == CHECKPOINT_VERSION and shape == (m, n):
-            group = canon.allowed_group_order(m, n, "main")
+            group = canon.allowed_group_order(m, n)
             reps = dict(_class_entry(e, m, n, group) for e in payload["classes"])
             raw = payload["raw_extensions"]
             if type(raw) is not int or raw < 0:

@@ -22,11 +22,14 @@ def support_mask(support) -> int:
     return mask
 
 
+def blocks_of(witness) -> frozenset:
+    """The 2x2 blocks of the cells of a K3,3 witness of a switched combination."""
+    return frozenset((i // 2, j // 2) for i, j in witness.cells)
+
+
 def footprints(square) -> set[frozenset]:
-    """The 2x2 blocks of the cells of each K3,3 witness of a switched combination."""
-    return {
-        frozenset((i // 2, j // 2) for i, j in w.cells) for w in find_k33(square)
-    }
+    """The blocks of each K3,3 witness of a switched combination."""
+    return {blocks_of(w) for w in find_k33(square)}
 
 
 def random_rectangle(rng: random.Random, m: int, n: int) -> LatinRectangle:

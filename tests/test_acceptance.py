@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_rectangles, footprints, free_rectangles, random_rectangle
+from conftest import all_rectangles, blocks_of, footprints, free_rectangles, random_rectangle
 from k33free import canon, fixtures, generate, spectral, tables
 from k33free.combine import (
     SwitchingMatrix,
@@ -24,7 +24,13 @@ from k33free.combine import (
     search_k33_free_combination,
     switched_combination,
 )
-from k33free.core import group_table, linear_square, slope_pair_orbit, supported_group_specs
+from k33free.core import (
+    LatinError,
+    group_table,
+    linear_square,
+    slope_pair_orbit,
+    supported_group_specs,
+)
 from k33free.gf2 import enumerate_solutions, solve
 from k33free.pattern import find_induced_ktt, find_k33, is_k33_free
 
@@ -193,7 +199,7 @@ def test_criterion_08_lemma_suite():
             a0, a1 = fixtures.load(a0_name), fixtures.load(a1_name)
             zero = switched_combination(a0, a1, SwitchingMatrix.zeros(n))
             pats = block_patterns((a0, a1), zero)
-            pat_blocks = [p.blocks for p in pats]
+            pat_blocks = [blocks_of(p.witness) for p in pats]
             for _ in range(rounds):
                 sw = SwitchingMatrix(
                     n, tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n))
@@ -207,7 +213,9 @@ def test_criterion_08_lemma_suite():
                     assert (blocks in present) == (parity == 0)  # parity law
         z4 = group_table("Z4")
         zero = switched_combination(z4, z4, SwitchingMatrix.zeros(4))
-        assert any(len(p.blocks) == 3 for p in block_patterns((z4, z4), zero))
+        assert any(len(blocks) == 3 for blocks in footprints(zero))
+        with pytest.raises(LatinError):
+            block_patterns((z4, z4), zero)
 
 
 def test_criterion_09_order8_reconstruction():

@@ -133,9 +133,8 @@ def test_cell_orbits_match_the_closure_on_fig6(kind, count):
 
 
 def test_allowed_group_order():
-    assert canon.allowed_group_order(3, 5, "isotopy") == 6 * 120 * 120
-    assert canon.allowed_group_order(3, 5, "main") == 6 * 120 * 120 * 2
-    assert canon.allowed_group_order(4, 4, "main") == 24 * 24 * 24 * 6
+    assert canon.allowed_group_order(3, 5) == 6 * 120 * 120 * 2
+    assert canon.allowed_group_order(4, 4) == 24 * 24 * 24 * 6
 
 
 # -- stabilizers against oracles that share no canon code -----------------------

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -291,6 +292,28 @@ def test_verify_eigen(capsys, fx, tmp_path):
     assert code == 1
 
 
+def test_manifest_hashes_the_bytes_parsed(capsys, fx, tmp_path):
+    sw = tmp_path / "sw.txt"
+    sw.write_text(fixtures.load_switch("fig5_switch").serialize())
+    func = tmp_path / "f.txt"
+    func.write_text("0 0 1\n0 1 -1\n")
+    a0, a1, z3, sw, func = fx("fig5_a0"), fx("fig5_a1"), fx("z3"), str(sw), str(func)
+    for inputs, argv in (
+        ([a0, a1, sw], ["combine", "--a0", a0, "--a1", a1, "--switch", sw]),
+        ([z3, func], ["verify-eigen", z3, "--function", func, "--theta", "-3"]),
+    ):
+        code, out = run(capsys, "--format", "json", *argv)
+        assert code in (0, 1) and json.loads(out)["input_hashes"] == {
+            path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in inputs
+        }
+
+
+def test_input_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1 3\n0 1 \xff\n")
+    assert one_line_error(capsys, "check", str(bad)) == 2
+
+
 @pytest.mark.parametrize("line", ["5 0 1", "-1 0 1", "0 3 1"])
 def test_verify_eigen_rejects_cells_outside_the_square(capsys, fx, tmp_path, line):
     func = tmp_path / "f.txt"
@@ -345,11 +368,8 @@ def test_zero_denominator_is_an_input_error(capsys, fx, tmp_path, value, theta):
 ))
 @settings(max_examples=60)
 def test_eigenfunction_file_round_trip(values):
-    z3 = fixtures.load("z3")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "f.txt"
-        path.write_text("".join(f"{r} {c} {v}\n" for (r, c), v in values.items()))
-        assert cli._parse_function(str(path), z3).values == values
+    text = "".join(f"{r} {c} {v}\n" for (r, c), v in values.items())
+    assert cli._parse_function("f.txt", text, fixtures.load("z3")).values == values
 
 
 # -- junk input: every subcommand exits 0, 1 or 2 and never raises -----------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import footprints, support_mask
+from conftest import blocks_of, footprints, support_mask
 from k33free import combine, fixtures
 from k33free.combine import (
     BlockPattern,
@@ -67,14 +67,15 @@ def test_block_patterns_six_blocks_for_orthogonal():
     a0, a1 = fixtures.load("fig2_a0"), fixtures.load("fig2_a1")
     zero = switched_combination(a0, a1, SwitchingMatrix.zeros(4))
     pats = block_patterns((a0, a1), zero)
-    assert pats and all(len(p.blocks) == 6 for p in pats)
+    assert pats and all(len(blocks_of(p.witness)) == 6 for p in pats)
 
 
 def test_non_orthogonal_pair_has_three_block_witness():
     z4 = group_table("Z4")
     zero = switched_combination(z4, z4, SwitchingMatrix.zeros(4))
-    pats = block_patterns((z4, z4), zero)
-    assert any(len(p.blocks) == 3 for p in pats)
+    assert any(len(blocks) == 3 for blocks in footprints(zero))
+    with pytest.raises(LatinError):
+        block_patterns((z4, z4), zero)
 
 
 def test_parity_law_on_fig2_pair():
@@ -86,8 +87,9 @@ def test_parity_law_on_fig2_pair():
         sw = random_switch(rng, 4)
         present = footprints(switched_combination(a0, a1, sw))
         for p in pats:
-            parity = sum(sw.bits[i][j] for i, j in p.blocks) % 2
-            assert (p.blocks in present) == (parity == 0)
+            blocks = blocks_of(p.witness)
+            parity = sum(sw.bits[i][j] for i, j in blocks) % 2
+            assert (blocks in present) == (parity == 0)
 
 
 def test_six_block_law_under_random_switching():
@@ -114,24 +116,27 @@ def _oracle_pairs():
 
 
 def test_footprints_match_the_witness_cells():
-    # the blocks of a pattern, read off its mask, against the blocks of its
-    # six cells; and as rows of the system, against words built from those
-    sizes = set()
+    # the mask of a pattern against the blocks of its six cells; and as rows
+    # of the system, against words built from those; a non-orthogonal pair
+    # has smaller footprints, and is refused
+    refused = 0
     for a0, a1 in _oracle_pairs():
         n = a0.n
         zero = switched_combination(a0, a1, SwitchingMatrix.zeros(n))
+        if not is_orthogonal(a0, a1):
+            with pytest.raises(LatinError):
+                block_patterns((a0, a1), zero)
+            refused += 1
+            continue
         pats = block_patterns((a0, a1), zero)
         assert {p.witness for p in pats} == find_k33(zero)
-        expected = [frozenset((i // 2, j // 2) for i, j in p.witness.cells) for p in pats]
-        assert [p.blocks for p in pats] == expected
-        sizes.update(len(b) for b in expected)
-        if not is_orthogonal(a0, a1):
-            continue
+        expected = [support_mask(i * n + j for i, j in blocks_of(p.witness)) for p in pats]
+        assert [p.mask for p in pats] == expected
         by_row = Gf2System(n * n)
-        for blocks in expected:
-            by_row.add_word(support_mask(i * n + j for i, j in blocks), 1)
+        for mask in expected:
+            by_row.add_word(mask, 1)
         assert build_system(pats, n).rows == by_row.rows
-    assert sizes == {3, 6}
+    assert refused == 1
 
 
 def test_search_hits_fig5_and_fig2_only():
@@ -194,8 +199,10 @@ def test_unsolvable_pairs_stop_scanning_at_the_contradiction(monkeypatch, caplog
 def test_build_system_rejects_small_footprints():
     z4 = group_table("Z4")
     zero = switched_combination(z4, z4, SwitchingMatrix.zeros(4))
+    w = next(w for w in find_k33(zero) if len(blocks_of(w)) == 3)
+    small = BlockPattern(w, support_mask(i * 4 + j for i, j in blocks_of(w)), 4)
     with pytest.raises(LatinError):
-        build_system(block_patterns((z4, z4), zero), 4)
+        build_system([small], 4)
 
 
 def test_build_system_rejects_footprints_of_another_order():
