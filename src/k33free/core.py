@@ -125,10 +125,7 @@ class Paratopism:
         sigma = tuple(sq[sp[i]] for i in range(3))
         mp = (self.rho, self.gamma, self.lam)
         mq = (other.rho, other.gamma, other.lam)
-        maps = tuple(
-            tuple(mp[i][mq[sp[i]][x]] for x in range(len(mq[sp[i]])))
-            for i in range(3)
-        )
+        maps = tuple(tuple(map(mp[i].__getitem__, mq[sp[i]])) for i in range(3))
         return Paratopism(maps[0], maps[1], maps[2], sigma)
 
     def act_triple(self, t: tuple[int, int, int]) -> tuple[int, int, int]:

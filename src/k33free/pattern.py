@@ -11,8 +11,8 @@ Role-labelled, the cells are (r1,c2,l3), (r2,c3,l1), (r3,c1,l2) in one part
 and (r2,c1,l3), (r3,c2,l1), (r1,c3,l2) in the other.  Permuting the three
 role indices relabels the same witness (odd permutations swap the parts);
 of these six labellings the canonical one is the least, which is the one
-with r1 < r2 < r3.  The scan reports each witness once, from its least
-column, already in that labelling.
+with r1 < r2 < r3.  The scan reports each witness once, from its row
+triple, already in that labelling.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import LatinRectangle, is_orthogonal
+from .core import LatinError, LatinRectangle, is_orthogonal
+
+#: the translate table of the identity, whose first n bytes are range(n)
+_IDENTITY = bytes(range(256))
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,48 +58,65 @@ class PatternOccurrence:
 def find_k33(s: LatinRectangle) -> set[PatternOccurrence]:
     """All K3,3 witnesses of the rectangle, duplicate-free.
 
-    Each witness is found once, from its least column, and labelled with
+    Each witness is found once, from its row triple, and labelled with
     its rows in ascending order.
     """
     return set(_scan(s))
 
 
 def is_k33_free(s: LatinRectangle) -> bool:
-    """True iff the rectangle has no K3,3 witness (stops at the first)."""
+    """True iff the rectangle has no K3,3 witness (stops at the first row
+    pair that has one)."""
     return next(_scan(s), None) is None
 
 
 def _scan(s: LatinRectangle) -> Iterator[PatternOccurrence]:
-    """Yield each witness once, found from its least column c1.
+    """Yield each witness once, found from its row triple r1 < r2 < r3.
 
-    Row r1 holds at columns c2, c3 > c1 the letters that rows r2 < r3 hold
-    at column c1, so for each (c1, r1) only the rows whose letter sits right
-    of c1 in row r1 are paired up.
+    link(a, b)[c] is the column where row b holds row a's letter at column
+    c.  The rows carry a witness with c3 = x exactly when
+    link(r1, r2)[link(r2, r3)[x]] == link(r1, r3)[x]; then
+    c2 = link(r2, r3)[x] and c1 = link(r1, r3)[x].  Links are bytes, so for
+    each pair r1 < r2 one ``translate`` composes link(r1, r2) with the
+    links from r2 to every later row, and one int XOR against the links
+    from r1 to the same rows has a zero byte exactly at the witnesses.
+    Letters must fit in a byte: more than 256 columns raise
+    :class:`LatinError`.
     """
     m, n = s.m, s.n
+    if n > 256:
+        raise LatinError(f"the K3,3 scan handles at most 256 columns, got {n}")
     grid = s.rows
-    pos = s.column_positions()
-    for c in range(n):
-        col = [row[c] for row in grid]
-        for t in range(m):
-            pt = pos[t]
-            # row t holds its own letter at c, so it is never among these
-            later = [(r, l, pt[l]) for r, l in enumerate(col) if pt[l] > c]
-            for i, (rp, lp, cp) in enumerate(later):
-                gp = grid[rp]
-                for rq, lq, cq in later[i + 1:]:
-                    lx = gp[cq]
-                    if lx != grid[rq][cp]:
-                        continue
-                    # roles: r1=t r2=rp r3=rq, c1=c c2=cp c3=cq,
-                    # l1=lx l2=lq l3=lp; relabel so that the rows ascend
-                    # (rp < rq already, so only the place of t decides)
-                    if t < rp:
-                        yield PatternOccurrence((t, rp, rq), (c, cp, cq), (lx, lq, lp))
-                    elif t < rq:
-                        yield PatternOccurrence((rp, t, rq), (cp, c, cq), (lq, lx, lp))
-                    else:
-                        yield PatternOccurrence((rp, rq, t), (cp, cq, c), (lq, lp, lx))
+    # rows padded to 256 bytes, so that their links are translate tables
+    rows = [bytes(row).ljust(256, b"\0") for row in grid]
+    # pos[b]: the table sending a letter to its column in row b
+    pos = [bytes.maketrans(row[:n], _IDENTITY[:n]) for row in rows]
+    # after[a]: link(a, b) for every b > a, joined
+    after = [b"".join([rows[a][:n].translate(pos[b]) for b in range(a + 1, m)])
+             for a in range(m - 1)]
+    for r1 in range(m - 2):
+        after1, row1 = after[r1], grid[r1]
+        word1, size1 = int.from_bytes(after1, "big"), len(after1)
+        for r2 in range(r1 + 1, m - 1):
+            # from byte start on, word1 holds link(r1, r3) for each r3 > r2,
+            # and the XOR is 0 at a byte i exactly where there is a witness,
+            # with x = i % n in row r3 = r1 + 1 + i // n
+            start = (r2 - r1) * n
+            link2 = after[r2]
+            # link(r1, r2) as a translate table: only its first n bytes are read
+            got = link2.translate(rows[r1].translate(pos[r2]))
+            diff = (int.from_bytes(got, "big") ^ word1).to_bytes(size1, "big")
+            row2 = grid[r2]
+            i = diff.find(0, start)
+            while i >= 0:
+                x = i % n
+                c2 = link2[i - start]
+                yield PatternOccurrence(
+                    (r1, r2, r1 + 1 + i // n),
+                    (after1[i], c2, x),
+                    (row2[x], row1[x], row1[c2]),
+                )
+                i = diff.find(0, i + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,6 @@ class Trade:
         if not self.t_plus or not self.t_minus:
             raise LatinError("trade parts must be nonempty")
 
-    @property
-    def volume(self) -> int:
-        return len(self.t_plus)
-
 
 def check_eigenfunction(s: LatinRectangle, f: CellFunction, theta) -> bool:
     """Exact check of sum_{y ~ x} f(y) == theta * f(x) at every cell."""

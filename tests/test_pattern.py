@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_rectangles, cell_graph_ktt_parts, random_rectangle
-from k33free import fixtures
+from k33free import cli, fixtures
 from k33free.combine import SwitchingMatrix, switched_combination
 from k33free.core import (
+    LatinError,
     LatinRectangle,
     Paratopism,
     apply,
     group_table,
     linear_square,
+    serialize,
     shape_preserving_conjs,
     supported_group_specs,
 )
@@ -90,6 +92,63 @@ def test_zero_combination_labelling_matches_brute_force(fig):
     a0, a1 = fixtures.load(f"{fig}_a0"), fixtures.load(f"{fig}_a1")
     zero = switched_combination(a0, a1, SwitchingMatrix.zeros(a0.n))
     assert_labelled_once(zero)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_labelling_matches_brute_force_at_every_shape(n):
+    """Every m <= n, including m <= 2, where there is no row triple."""
+    rng = random.Random(n)
+    for m in range(1, n + 1):
+        for _ in range(5):
+            s = random_rectangle(rng, m, n)
+            assert_labelled_once(s)
+            assert is_k33_free(s) == (not find_k33(s))
+            if m <= 2:
+                assert not find_k33(s)
+
+
+def zero_combination(pair):
+    return switched_combination(*pair, SwitchingMatrix.zeros(pair[0].n))
+
+
+def seeded_linear_pairs():
+    """The orthogonal linear pairs for p = 11, 13, 17 that perfbench's
+    doubling catalog draws with seed 1."""
+    rng = random.Random(1)
+    pairs = {}
+    for p in (11, 13, 17):
+        s, t = rng.sample(range(1, p), 2)
+        pairs[p] = (linear_square(p, 1, s), linear_square(p, 1, t))
+    return pairs
+
+
+@pytest.mark.parametrize("p, count", [(11, 7_260), (13, 14_872), (17, 46_240)])
+def test_witness_count_of_linear_zero_combinations(p, count):
+    zero = zero_combination(seeded_linear_pairs()[p])
+    found = find_k33(zero)
+    assert len(found) == count
+    assert sum(1 for _ in _scan(zero)) == count
+    assert not is_k33_free(zero)
+
+
+def test_witness_count_of_fig5_zero_combination():
+    zero = zero_combination((fixtures.load("fig5_a0"), fixtures.load("fig5_a1")))
+    assert len(find_k33(zero)) == 512
+    assert not is_k33_free(zero)
+
+
+def test_order_above_256_is_an_input_error(tmp_path, capsys):
+    n = 257
+    s = LatinRectangle(tuple(tuple((r + c) % n for c in range(n)) for r in range(3)))
+    with pytest.raises(LatinError, match="at most 256 columns"):
+        find_k33(s)
+    with pytest.raises(LatinError, match="at most 256 columns"):
+        is_k33_free(s)
+    path = tmp_path / "wide.txt"
+    path.write_text(serialize(s))
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
 
 
 def test_random_rectangles_match_graph_oracle():
