@@ -458,12 +458,15 @@ class _Listed(Sequence):
 
 
 class Stabilized(NamedTuple):
-    """What :func:`canonical_with_stabilizer` returns."""
+    """What :func:`canonical_with_stabilizer` returns.
+
+    The isotopy class count of the same search comes from
+    :func:`canonical_with_order`.
+    """
 
     form: LatinRectangle
     order: int  # exact stabilizer order
     elements: Sequence[Paratopism]  # every element fixing the rectangle, listed at first read
-    isotopy_classes: int  # isotopy classes in the main class (1 at isotopy level)
     generators: list[Paratopism]  # automorphisms that generate the whole stabilizer
 
 
@@ -480,14 +483,14 @@ def canonical_form(s: LatinRectangle, level: Level = "main") -> LatinRectangle:
 
 
 def canonical_with_stabilizer(s: LatinRectangle, level: Level = "main") -> Stabilized:
-    """Canonical form, stabilizer order, elements and generators, isotopy classes.
+    """Canonical form, stabilizer order, elements and generators.
 
     The elements and generators fix ``s`` itself (not the canonical form)
     and their conj component is the identity when ``level == 'isotopy'``.
     """
     search = _Search(s, level)
-    canon, count, iso = search.run()
-    return Stabilized(canon, count, _Listed(search.elements), iso, search.gens)
+    canon, count, _ = search.run()
+    return Stabilized(canon, count, _Listed(search.elements), search.gens)
 
 
 def symmetry_group(s: LatinRectangle, kind: str = "autotopism") -> Stabilized:

@@ -238,12 +238,14 @@ def _parse_function(path: str, text: str, s: LatinRectangle) -> spectral.CellFun
             continue
         try:
             r, c, v = line.split()
-            r, c = int(r), int(c)
-            values[(r, c)] = _fraction(v)
+            r, c, v = int(r), int(c), _fraction(v)
         except ValueError as exc:
             raise LatinError(f"{path}:{ln}: bad function line {line!r}") from exc
         if not (0 <= r < s.m and 0 <= c < s.n):
             raise LatinError(f"{path}:{ln}: cell ({r}, {c}) is outside the {s.m}x{s.n} square")
+        if (r, c) in values:
+            raise LatinError(f"{path}:{ln}: cell ({r}, {c}) is given a second value")
+        values[(r, c)] = v
     return spectral.CellFunction(s, values)
 
 

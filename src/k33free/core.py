@@ -194,7 +194,7 @@ def is_orthogonal(a0: LatinRectangle, a1: LatinRectangle) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# group tables
+# linear squares
 
 
 def linear_square(n: int, alpha: int, beta: int) -> LatinRectangle:
@@ -210,112 +210,6 @@ def linear_square(n: int, alpha: int, beta: int) -> LatinRectangle:
             tuple((alpha * r + beta * c) % n for c in range(n)) for r in range(n)
         )
     )
-
-
-def slope_pair_orbit(pair: frozenset[int], p: int) -> frozenset[frozenset[int]]:
-    """Equivalence class of the slope pair {s, t} of squares r + s*c over GF(p).
-
-    Closes the pair under scaling both slopes by a unit, inverting both
-    (transposing the squares) and exchanging the rows with the letters of
-    either square; pairs with a zero or repeated slope are dropped.
-    """
-    inv = {a: pow(a, p - 2, p) for a in range(1, p)}
-    seen = {pair}
-    stack = [pair]
-    while stack:
-        s, t = sorted(stack.pop())
-        images = [frozenset(((s * b) % p, (t * b) % p)) for b in range(1, p)]
-        images.append(frozenset((inv[s], inv[t])))
-        images.append(frozenset(((-s) % p, (t - s) % p)))
-        images.append(frozenset(((-t) % p, (s - t) % p)))
-        for q in images:
-            if len(q) == 2 and 0 not in q and q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return frozenset(seen)
-
-
-def group_table(spec: str) -> LatinRectangle:
-    """Cayley table of a supported finite group, as a latin square.
-
-    Accepted specs: ``Z<n>`` (cyclic), products like ``Z2xZ4``, and ``D<n>``
-    (dihedral, order 2n, n >= 3).  Case-insensitive; underscores ignored.
-    """
-    name = spec.replace("_", "").replace(" ", "").upper()
-    if not name:
-        raise LatinError("empty group spec")
-    if name.startswith("D") and "X" not in name:
-        k = _parse_order(name[1:], spec)
-        if k < 3:
-            raise LatinError(f"dihedral D{k} needs n >= 3")
-        return _dihedral_table(k)
-    factors = []
-    for part in name.split("X"):
-        if not part.startswith("Z"):
-            raise LatinError(f"unsupported group family: {spec!r}")
-        factors.append(_parse_order(part[1:], spec))
-    return _abelian_product_table(factors)
-
-
-def _parse_order(text: str, spec: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise LatinError(f"bad group order in spec {spec!r}")
-    return int(text)
-
-
-def _abelian_product_table(factors: list[int]) -> LatinRectangle:
-    elems = list(itertools.product(*(range(k) for k in factors)))
-    index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    rows = []
-    for a in elems:
-        rows.append(
-            tuple(index[tuple((x + y) % k for x, y, k in zip(a, b, factors))] for b in elems)
-        )
-    return LatinRectangle(tuple(rows))
-
-
-def _dihedral_table(k: int) -> LatinRectangle:
-    # elements (i, f): rotation r^i, optionally followed by the flip
-    elems = [(i, f) for f in (0, 1) for i in range(k)]
-    index = {e: j for j, e in enumerate(elems)}
-
-    def mul(a, b):
-        i, f = a
-        j, g = b
-        if f == 0:
-            return ((i + j) % k, g)
-        return ((i - j) % k, 1 - g)
-
-    rows = [tuple(index[mul(a, b)] for b in elems) for a in elems]
-    return LatinRectangle(tuple(rows))
-
-
-def supported_group_specs(max_order: int) -> list[str]:
-    """All supported group specs of order 3..max_order (one per isomorphism type)."""
-    specs: list[str] = []
-    for order in range(3, max_order + 1):
-        for parts in _abelian_types(order):
-            specs.append("x".join(f"Z{k}" for k in parts))
-        if order % 2 == 0 and order >= 6:
-            specs.append(f"D{order // 2}")
-    return specs
-
-
-def _abelian_types(order: int) -> list[tuple[int, ...]]:
-    """Invariant-factor decompositions d1 | d2 | ... with product = order."""
-    result: list[tuple[int, ...]] = []
-
-    def chains(remaining: int, prev: int, acc: tuple[int, ...]):
-        if remaining == 1:
-            result.append(acc)
-            return
-        for d in range(max(2, prev), remaining + 1):
-            if remaining % d == 0 and (prev == 1 or d % prev == 0):
-                chains(remaining // d, d, acc + (d,))
-
-    chains(order, 1, ())
-    return sorted(set(result))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,3 @@ def _read(name: str) -> str:
 
 def load(name: str) -> LatinRectangle:
     return parse(_read(f"{name}.txt"))
-
-
-def load_switch(name: str):
-    from .combine import SwitchingMatrix
-
-    return SwitchingMatrix.parse(_read(f"{name}.txt"))

@@ -74,12 +74,6 @@ class Candidate(NamedTuple):
     letter: int
 
 
-@dataclass
-class CompatibilityGraph:
-    vertices: list[Candidate]
-    adjacency: list[int]  # bitmask per vertex
-
-
 def candidates(s: LatinRectangle) -> list[Candidate]:
     """The (n-m)*n admissible cells for a new row: per column, its missing letters."""
     m, n = s.m, s.n
@@ -92,10 +86,12 @@ def candidates(s: LatinRectangle) -> list[Candidate]:
     return out
 
 
-def compatibility_graph(s: LatinRectangle, cands: Sequence[Candidate]) -> CompatibilityGraph:
-    """Edges: distinct columns, distinct letters, and no K3,3 closed with s.
+def compatibility_graph(s: LatinRectangle, cands: Sequence[Candidate]) -> list[int]:
+    """The adjacency of the candidates, as one bitmask per candidate.
 
-    For a column c, distinct rows r', r'' and a letter x, the candidates
+    Bit j of entry i is set when candidates i and j are compatible:
+    distinct columns, distinct letters, and no K3,3 closed with s.  For a
+    column c, distinct rows r', r'' and a letter x, the candidates
     (pos[r''][x], s(r', c)) and (pos[r'][x], s(r'', c)) are incompatible,
     where pos[r][x] is the column of x in row r: with the cells of rows r'
     and r'' in column c and in the columns of x, they would close a K3,3.
@@ -123,21 +119,23 @@ def compatibility_graph(s: LatinRectangle, cands: Sequence[Candidate]) -> Compat
                     if a >= 0 and b >= 0:
                         adj[a] &= ~(1 << b)
                         adj[b] &= ~(1 << a)
-    return CompatibilityGraph(list(cands), adj)
+    return adj
 
 
-def cliques_of_size(g: CompatibilityGraph, n: int) -> list[tuple[int, ...]]:
-    """The new rows: every size-n clique of the graph of an n-column rectangle.
+def cliques_of_size(
+    cands: Sequence[Candidate], adjacency: Sequence[int], n: int
+) -> list[tuple[int, ...]]:
+    """The new rows: every size-n clique of the candidates of an n-column rectangle.
 
+    ``adjacency`` is what :func:`compatibility_graph` returns for ``cands``.
     Such a clique takes one candidate in each column, so the search walks
     the columns as an exact cover, fewest candidates first, and each row is
     found once, spelled out in ``row`` as it goes.
     """
     by_col: list[list[int]] = [[] for _ in range(n)]
-    for i, cand in enumerate(g.vertices):
+    for i, cand in enumerate(cands):
         by_col[cand.col].append(i)
     cols = sorted(range(n), key=lambda c: len(by_col[c]))
-    adj, vertices = g.adjacency, g.vertices
     row = [0] * n
     out: list[tuple[int, ...]] = []
 
@@ -148,10 +146,10 @@ def cliques_of_size(g: CompatibilityGraph, n: int) -> list[tuple[int, ...]]:
         col = cols[k]
         for i in by_col[col]:
             if mask >> i & 1:
-                row[col] = vertices[i].letter
-                rec(k + 1, mask & adj[i])
+                row[col] = cands[i].letter
+                rec(k + 1, mask & adjacency[i])
 
-    rec(0, (1 << len(vertices)) - 1)
+    rec(0, (1 << len(cands)) - 1)
     return out
 
 
@@ -299,8 +297,8 @@ def _process_parent(args) -> Extension:
     """
     parent_rows, n, order = args
     parent = LatinRectangle(parent_rows)
-    g = compatibility_graph(parent, candidates(parent))
-    rows = cliques_of_size(g, n)
+    cands = candidates(parent)
+    rows = cliques_of_size(cands, compatibility_graph(parent, cands), n)
 
     # the verdicts are kept by the parent's stabilizer, so they can follow
     # the orbit reduction; a parent with no passing row is spared its

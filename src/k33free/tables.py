@@ -1,6 +1,6 @@
 """Reference census values for K3,3-free latin rectangles.
 
-CELLS maps each tabulated shape (m, n) to its main-class count, its
+``expected(m, n)`` gives each tabulated shape's main-class count, its
 isotopy-class count and its number of labeled K3,3-free m-by-n
 rectangles, the last two None where unpublished.
 """
@@ -74,12 +74,7 @@ _DATA: dict[tuple[int, int], tuple[int, int | None, int | None]] = {
 }
 
 
-CELLS: dict[tuple[int, int], CensusCell] = {
-    (m, n): CensusCell(m, n, main, iso, total)
-    for (m, n), (main, iso, total) in _DATA.items()
-}
-
-
 def expected(m: int, n: int) -> CensusCell | None:
     """The reference cell, if the shape is tabulated (3 <= m <= n)."""
-    return CELLS.get((m, n))
+    counts = _DATA.get((m, n))
+    return None if counts is None else CensusCell(m, n, *counts)

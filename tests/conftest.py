@@ -9,9 +9,82 @@ from typing import NamedTuple
 
 import pytest
 
-from k33free import canon
+from k33free import canon, fixtures
+from k33free.combine import SwitchingMatrix
 from k33free.core import LatinRectangle
 from k33free.pattern import find_k33, is_k33_free
+
+
+def load_switch(name: str) -> SwitchingMatrix:
+    """A bundled switching matrix."""
+    return SwitchingMatrix.parse(fixtures._read(f"{name}.txt"))
+
+
+# -- Cayley tables: the inputs of the group oracles ------------------------------
+
+
+def group_table(spec: str) -> LatinRectangle:
+    """Cayley table of a finite group, as a latin square.
+
+    ``spec`` is ``Z<n>`` (cyclic), a product like ``Z2xZ4``, or ``D<k>``
+    (dihedral of order 2k, k >= 3), as :func:`supported_group_specs` spells
+    them.
+    """
+    if spec.startswith("D"):
+        return _dihedral_table(int(spec[1:]))
+    return _abelian_product_table([int(part.removeprefix("Z")) for part in spec.split("x")])
+
+
+def _abelian_product_table(factors: list[int]) -> LatinRectangle:
+    elems = list(itertools.product(*(range(k) for k in factors)))
+    index = {e: i for i, e in enumerate(elems)}
+    return LatinRectangle(tuple(
+        tuple(index[tuple((x + y) % k for x, y, k in zip(a, b, factors))] for b in elems)
+        for a in elems
+    ))
+
+
+def _dihedral_table(k: int) -> LatinRectangle:
+    # elements (i, f): rotation r^i, optionally followed by the flip
+    elems = [(i, f) for f in (0, 1) for i in range(k)]
+    index = {e: j for j, e in enumerate(elems)}
+
+    def mul(a, b):
+        i, f = a
+        j, g = b
+        if f == 0:
+            return ((i + j) % k, g)
+        return ((i - j) % k, 1 - g)
+
+    return LatinRectangle(tuple(tuple(index[mul(a, b)] for b in elems) for a in elems))
+
+
+def supported_group_specs(max_order: int) -> list[str]:
+    """A spec of every group of order 3..max_order that :func:`group_table`
+    builds: each abelian group and each dihedral group, one per isomorphism type."""
+    specs: list[str] = []
+    for order in range(3, max_order + 1):
+        for parts in _abelian_types(order):
+            specs.append("x".join(f"Z{k}" for k in parts))
+        if order % 2 == 0 and order >= 6:
+            specs.append(f"D{order // 2}")
+    return specs
+
+
+def _abelian_types(order: int) -> list[tuple[int, ...]]:
+    """Invariant-factor decompositions d1 | d2 | ... with product = order."""
+    result: list[tuple[int, ...]] = []
+
+    def chains(remaining: int, prev: int, acc: tuple[int, ...]):
+        if remaining == 1:
+            result.append(acc)
+            return
+        for d in range(max(2, prev), remaining + 1):
+            if remaining % d == 0 and (prev == 1 or d % prev == 0):
+                chains(remaining // d, d, acc + (d,))
+
+    chains(order, 1, ())
+    return sorted(set(result))
 
 
 def support_mask(support) -> int:

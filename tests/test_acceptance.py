@@ -9,13 +9,23 @@ columns n >= 10 are stretch runs and are not exercised here.  Run with
 import itertools
 import os
 import random
+import runpy
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import all_rectangles, blocks_of, footprints, free_rectangles, random_rectangle
+from conftest import (
+    all_rectangles,
+    blocks_of,
+    footprints,
+    free_rectangles,
+    group_table,
+    random_rectangle,
+    supported_group_specs,
+)
 from k33free import canon, fixtures, generate, spectral, tables
 from k33free.combine import (
     SwitchingMatrix,
@@ -24,13 +34,7 @@ from k33free.combine import (
     search_k33_free_combination,
     switched_combination,
 )
-from k33free.core import (
-    LatinError,
-    group_table,
-    linear_square,
-    slope_pair_orbit,
-    supported_group_specs,
-)
+from k33free.core import LatinError, linear_square
 from k33free.gf2 import enumerate_solutions, solve
 from k33free.pattern import find_induced_ktt, find_k33, is_k33_free
 
@@ -247,6 +251,8 @@ def test_criterion_10_mols():
         for s, t in itertools.combinations(range(1, 7), 2):
             pair = (linear_square(7, 1, s), linear_square(7, 1, t))
             verdict[frozenset((s, t))] = not find_induced_ktt(pair, 4)
+        script = Path(__file__).resolve().parent.parent / "scripts" / "mols_linear.py"
+        slope_pair_orbit = runpy.run_path(str(script))["slope_pair_orbit"]
         orbits = {slope_pair_orbit(k, 7) for k in verdict}
         assert len(orbits) == 2
         free = [ob for ob in orbits if {verdict[k] for k in ob} == {True}]

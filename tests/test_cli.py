@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import group_table, load_switch
 from k33free import cli, fixtures
-from k33free.core import group_table, linear_square, parse, serialize, serialize_catalog
+from k33free.core import linear_square, parse, serialize, serialize_catalog
 
 
 @pytest.fixture
@@ -244,7 +245,7 @@ def test_symmetry_of_a_long_row_is_exact(capsys, tmp_path):
 
 def test_combine_and_switch(capsys, fx, tmp_path):
     sw = tmp_path / "sw.txt"
-    sw.write_text(fixtures.load_switch("fig5_switch").serialize())
+    sw.write_text(load_switch("fig5_switch").serialize())
     code, out = run(capsys, "combine", "--a0", fx("fig5_a0"),
                     "--a1", fx("fig5_a1"), "--switch", str(sw))
     assert code == 0 and parse(out).rows == fixtures.load("fig6").rows
@@ -294,7 +295,7 @@ def test_verify_eigen(capsys, fx, tmp_path):
 
 def test_manifest_hashes_the_bytes_parsed(capsys, fx, tmp_path):
     sw = tmp_path / "sw.txt"
-    sw.write_text(fixtures.load_switch("fig5_switch").serialize())
+    sw.write_text(load_switch("fig5_switch").serialize())
     func = tmp_path / "f.txt"
     func.write_text("0 0 1\n0 1 -1\n")
     a0, a1, z3, sw, func = fx("fig5_a0"), fx("fig5_a1"), fx("z3"), str(sw), str(func)
@@ -320,6 +321,15 @@ def test_verify_eigen_rejects_cells_outside_the_square(capsys, fx, tmp_path, lin
     func.write_text(f"0 0 1\n{line}\n")
     assert one_line_error(capsys, "verify-eigen", fx("z3"), "--function", str(func),
                           "--theta", "-3") == 2
+
+
+def test_verify_eigen_rejects_a_cell_named_twice(capsys, fx, tmp_path):
+    func = tmp_path / "f.txt"
+    func.write_text("0 0 1\n0 1 -1\n\n0 0 -1\n")
+    code = cli.main(["verify-eigen", fx("z3"), "--function", str(func), "--theta", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {func}:4: cell (0, 0) is given a second value\n"
 
 
 def test_min_trade(capsys, fx):

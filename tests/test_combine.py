@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import blocks_of, footprints, support_mask
+from conftest import blocks_of, footprints, group_table, load_switch, support_mask
 from k33free import combine, fixtures
 from k33free.combine import (
     BlockPattern,
@@ -18,7 +18,7 @@ from k33free.combine import (
     search_k33_free_combination,
     switched_combination,
 )
-from k33free.core import LatinError, group_table, is_orthogonal, linear_square, validate
+from k33free.core import LatinError, is_orthogonal, linear_square, validate
 from k33free.gf2 import Gf2System, solve
 from k33free.pattern import find_k33
 
@@ -43,7 +43,7 @@ def test_single_switch_reproduces_fixture():
 
 def test_fig5_switch_reproduces_fig6():
     a0, a1 = fixtures.load("fig5_a0"), fixtures.load("fig5_a1")
-    sw = fixtures.load_switch("fig5_switch")
+    sw = load_switch("fig5_switch")
     assert switched_combination(a0, a1, sw).rows == fixtures.load("fig6").rows
 
 
@@ -228,7 +228,7 @@ def test_search_pipeline_skips_non_orthogonal():
 
 
 def test_switch_serialization_roundtrip():
-    sw = fixtures.load_switch("fig5_switch")
+    sw = load_switch("fig5_switch")
     assert SwitchingMatrix.parse(sw.serialize()).bits == sw.bits
 
 

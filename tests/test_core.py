@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import group_table, supported_group_specs
 from k33free.core import (
     ALL_CONJS,
     CONJ_CL,
@@ -15,7 +16,6 @@ from k33free.core import (
     Paratopism,
     apply,
     conjugate,
-    group_table,
     is_orthogonal,
     linear_square,
     parse,
@@ -23,7 +23,6 @@ from k33free.core import (
     serialize,
     serialize_catalog,
     shape_preserving_conjs,
-    supported_group_specs,
     validate,
 )
 
@@ -97,13 +96,6 @@ def test_shape_preserving_conjs():
 def test_group_tables_are_latin():
     for spec in supported_group_specs(12):
         validate(group_table(spec).rows)
-
-
-def test_group_table_errors():
-    with pytest.raises(LatinError):
-        group_table("D2")
-    with pytest.raises(LatinError):
-        group_table("Q8")
 
 
 def test_linear_square():

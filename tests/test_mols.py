@@ -2,7 +2,7 @@
 
 import itertools
 
-from k33free.core import is_orthogonal, linear_square, slope_pair_orbit
+from k33free.core import is_orthogonal, linear_square
 from k33free.pattern import find_induced_ktt
 
 GF5_BOLD = frozenset(
@@ -12,7 +12,7 @@ GF5_BOLD = frozenset(
 
 def slope_pairs(p):
     for s, t in itertools.combinations(range(1, p), 2):
-        yield frozenset((s, t)), (linear_square(p, 1, s), linear_square(p, 1, t))
+        yield linear_square(p, 1, s), linear_square(p, 1, t)
 
 
 def test_gf5_displayed_pair_has_k44():
@@ -24,19 +24,5 @@ def test_gf5_displayed_pair_has_k44():
 
 
 def test_gf5_every_linear_pair_has_k44():
-    for _, pair in slope_pairs(5):
+    for pair in slope_pairs(5):
         assert find_induced_ktt(pair, 4)
-
-
-def test_gf7_two_classes_exactly_one_free():
-    verdict = {
-        key: not find_induced_ktt(pair, 4) for key, pair in slope_pairs(7)
-    }
-    orbits = {slope_pair_orbit(key, 7) for key in verdict}
-    assert len(orbits) == 2
-    free_classes = 0
-    for ob in orbits:
-        verdicts = {verdict[k] for k in ob}
-        assert len(verdicts) == 1  # verdict is a class invariant
-        free_classes += verdicts == {True}
-    assert free_classes == 1

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_rectangles, cell_graph_ktt_parts, random_rectangle
+from conftest import (
+    all_rectangles,
+    cell_graph_ktt_parts,
+    group_table,
+    random_rectangle,
+    supported_group_specs,
+)
 from k33free import cli, fixtures
 from k33free.combine import SwitchingMatrix, switched_combination
 from k33free.core import (
@@ -15,11 +21,9 @@ from k33free.core import (
     LatinRectangle,
     Paratopism,
     apply,
-    group_table,
     linear_square,
     serialize,
     shape_preserving_conjs,
-    supported_group_specs,
 )
 from k33free.pattern import _scan, find_induced_ktt, find_k33, is_k33_free
 

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_rectangle
+from conftest import group_table, random_rectangle
 from k33free import fixtures, spectral
-from k33free.core import LatinError, group_table
+from k33free.core import LatinError
 from k33free.pattern import find_k33, is_k33_free
 
 
