@@ -6,7 +6,8 @@ square r + s*c, so a linear pair reduces to an unordered slope pair
 {s, t}.  The script computes the K4,4 verdict for every pair, closes the
 pairs under slope scaling, inversion (transpose) and the row/letter role
 swap, and reports the equivalence classes with their verdicts.  It exits 1
-if a pair is not orthogonal or a class holds both verdicts.
+if a pair is not orthogonal or a class holds both verdicts, and 2, with a
+one-line error, if ``--p`` is not a prime.
 
     python scripts/mols_linear.py --p 7
 """
@@ -48,6 +49,9 @@ def main() -> int:
     ap.add_argument("--t", type=int, default=4)
     args = ap.parse_args()
     p = args.p
+    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        print(f"error: --p must be a prime, got {p}", file=sys.stderr)
+        return 2
 
     verdict = {}
     for s, t in itertools.combinations(range(1, p), 2):

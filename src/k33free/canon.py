@@ -112,13 +112,35 @@ def _cycles_of(perm: tuple[int, ...]) -> list[list[int]]:
     return cycles
 
 
+def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
+    """Cycle type (ascending lengths) of a permutation, with no cycle lists built.
+
+    Each cycle is walked from its least point, which no later start can
+    reach, so the starts go unmarked.
+    """
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        k = 1
+        x = perm[start]
+        while x != start:
+            seen[x] = True
+            x = perm[x]
+            k += 1
+        lengths.append(k)
+    lengths.sort()
+    return tuple(lengths)
+
+
 def _link_type(pos_a: list[int], row_b: tuple[int, ...]) -> tuple[int, ...]:
     """Cycle type (ascending lengths) of the permutation linking two rows.
 
     ``pos_a`` is the inverse of row a; the permutation c -> pos_a[row_b[c]]
     and its inverse (the same pair read from b) have the same type.
     """
-    return tuple(sorted(len(cy) for cy in _cycles_of([pos_a[l] for l in row_b])))
+    return _cycle_type([pos_a[l] for l in row_b])
 
 
 @functools.cache

@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--long", action="store_true",
-                    help="allow the n=9 column (minutes)")
+                    help="allow the n=9 column (tens of seconds)")
     sp.add_argument("--stretch", action="store_true",
                     help="allow the n>=10 columns (CPU-hours; memory-bound)")
     sp.add_argument("--progress", action="store_true")

@@ -18,8 +18,7 @@ triple, already in that labelling.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import LatinError, LatinRectangle, is_orthogonal
 
@@ -27,9 +26,12 @@ from .core import LatinError, LatinRectangle, is_orthogonal
 _IDENTITY = bytes(range(256))
 
 
-@dataclass(frozen=True, slots=True)
-class PatternOccurrence:
-    """A six-cell K3,3 witness in its canonical role labelling (rows ascending)."""
+class PatternOccurrence(NamedTuple):
+    """A six-cell K3,3 witness in its canonical role labelling (rows ascending).
+
+    A tuple, so that hashing a witness runs in C and building one sets no
+    attributes.
+    """
 
     rows: tuple[int, int, int]
     cols: tuple[int, int, int]

@@ -426,6 +426,18 @@ def cycle_types(n, least=2):
             yield (part,) + rest
 
 
+def test_cycle_type_is_the_lengths_of_the_cycles():
+    rng = random.Random(20261020)
+    perms = [(0,), (0, 1, 2, 3), (1, 0, 2)]  # n = 1, the identity, a fixed point
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        perms.append(tuple(perm))
+    for perm in perms:
+        assert canon._cycle_type(perm) == tuple(sorted(len(c) for c in canon._cycles_of(perm)))
+
+
 def test_cycle_type_order_is_the_one_line_form_order():
     # _Search keys row pairs by cycle type and spells out only the winner
     for n in range(2, 16):

@@ -248,13 +248,43 @@ def test_trivial_stabilizer_parents_make_no_canon_call(monkeypatch, n):
     assert orders.count(1) > 0
 
 
+def _cycle_type(perm):
+    """Ascending cycle lengths, by following each point until it returns."""
+    lengths, seen = [], set()
+    for x in range(len(perm)):
+        if x not in seen:
+            cycle = [x]
+            while perm[cycle[-1]] != x:
+                cycle.append(perm[cycle[-1]])
+            seen.update(cycle)
+            lengths.append(len(cycle))
+    return tuple(sorted(lengths))
+
+
+def _link(s, r, a):
+    """L(r, a): column c to the column where row a holds row r's letter at c."""
+    return tuple(s.rows[a].index(s.rows[r][c]) for c in range(s.n))
+
+
 def _row_invariants(s):
-    """Per row, the sorted cycle types linking it to the other rows."""
-    pos = s.column_positions()
-    return [
-        sorted(canon._link_type(pos[r], s.rows[o]) for o in range(s.m) if o != r)
-        for r in range(s.m)
-    ]
+    """Per row r, the pair (first round, second round) of the new-row test.
+
+    The first round is the sorted link types of r to the other rows; the
+    second the sorted (the types of L(r, a) and L(r, b), sorted; the type of
+    L(r, a) . L(r, b)) over the unordered pairs {a, b} of other rows.
+    """
+    out = []
+    for r in range(s.m):
+        others = [a for a in range(s.m) if a != r]
+        links = {a: _link(s, r, a) for a in others}
+        first = sorted(_cycle_type(links[a]) for a in others)
+        second = sorted(
+            (tuple(sorted((_cycle_type(links[a]), _cycle_type(links[b])))),
+             _cycle_type(tuple(links[a][links[b][c]] for c in range(s.n))))
+            for a, b in itertools.combinations(others, 2)
+        )
+        out.append((first, second))
+    return out
 
 
 @functools.cache
@@ -289,6 +319,29 @@ def test_row_invariant_is_kept_by_isotopy_and_cl_conjugation(data):
     image_parent = LatinRectangle(image.rows[:new] + image.rows[new + 1:])
     verdict = generate._new_row_test(image_parent)(image.rows[new])
     assert verdict == generate._new_row_test(parent)(row)
+
+
+def test_new_row_verdict_is_the_brute_force_one():
+    # on every 4x7 child, the verdict compares the new row's (first, second)
+    # invariant with every other row's; some children need the second round
+    # (their first round ties), and every verdict shows up
+    verdicts, decided_by_second = [], 0
+    for parent, row in _children_4x7():
+        invs = _row_invariants(LatinRectangle(parent.rows + (row,)))
+        new, others = invs[-1], invs[:-1]
+        if any(o > new for o in others):
+            expected = generate.FAILS
+        elif new in others:
+            expected = generate.TIES
+        else:
+            expected = generate.ONLY_GREATEST
+        assert generate._new_row_test(parent)(row) == expected, (parent.rows, row)
+        verdicts.append(expected)
+        firsts = [o[0] for o in others]
+        decided_by_second += (new[0] in firsts and max(firsts) <= new[0]
+                              and expected != generate.TIES)
+    assert set(verdicts) == {generate.FAILS, generate.TIES, generate.ONLY_GREATEST}
+    assert decided_by_second > 0
 
 
 def test_checkpoint_resume_equivalence(tmp_path):

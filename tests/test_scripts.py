@@ -34,6 +34,14 @@ def test_mols_linear_finds_exactly_one_free_class_at_p7():
     assert not any("NOT class-invariant" in line for line in lines)
 
 
+@pytest.mark.parametrize("p", ["9", "1"])
+def test_mols_linear_rejects_a_p_that_is_not_prime(p):
+    proc = run_script("mols_linear.py", "--p", p)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: --p must be a prime, got {p}\n"
+
+
 @pytest.mark.parametrize("patch, message", [
     # every pair reported as not orthogonal
     ({"is_orthogonal": lambda a0, a1: False}, "do not give an orthogonal pair"),
