@@ -47,10 +47,9 @@ rule (orbit pruning by the automorphisms found so far, as in McKay & Piperno,
    triple.  A triple T expanded anyway is dropped at its first leaf with
    the tail of a leaf of a fully explored triple R: T is an image of R, and
    the two leaves give a new generator mapping R onto T.  Tails are checked
-   against the best tail, and, once an automorphism has shown up, against a
-   table of the explored triples' tails.  The union-find is always built,
-   at no measured cost; the table starts at the first automorphism, since
-   filling it in the many searches that find none slows the census.
+   against the best tail and, from the first leaf on, against a table of
+   the explored triples' tails, so a triple can be dropped before any
+   automorphism has shown up.
 
 The minimal leaves are a coset of Aut(s), all of them in the orbit of T*,
 the first triple holding the least tail, and T* is fully explored.  Its
@@ -246,9 +245,9 @@ class _Search:
         self.parent = list(range(len(self.triples)))
         self.index = {(sg, r0, r1): u for u, (sg, _, _, r0, r1) in enumerate(self.triples)}
         self.explored = [False] * len(self.triples)
-        # tail bytes -> (triple, leaf) over the fully explored triples, filled
-        # only once an automorphism has shown up (trivial stabilizers skip it)
-        self.seen: dict[bytes, tuple[int, tuple]] | None = None
+        # tail bytes -> (triple, leaf) over the fully explored triples, kept
+        # from the first leaf on
+        self.seen: dict[bytes, tuple[int, tuple]] = {}
         for t, entry in enumerate(self.triples):
             if not self.explored[self._root(t)]:
                 self._expand(t, *entry)
@@ -305,8 +304,7 @@ class _Search:
         except _Abandon:
             return
         self.explored[self._root(t)] = True
-        if self.seen is not None:
-            self.seen.update(self.pending)
+        self.seen.update(self.pending)
 
     def _evaluate(self, t, sigma, r0, r1, pis, other_rows, col2pos):
         pos2col = [0] * self.n
@@ -317,15 +315,13 @@ class _Search:
         )
         tail = [img for img, _ in imgs]
         best = self.best_tail
-        if self.seen is None and best is not None and tail > best:
-            return
         leaf = (sigma, [r0, r1] + [r for _, r in imgs], tuple(col2pos))
         if best is None or tail < best:
             self.best_tail = tail
             self.owner = t
             self.leaves = []
         elif tail > best:
-            # a hit in the table makes the current triple an image of the hit's
+            # a hit in the table (kept from the first leaf) makes the triple an image of the hit's
             key = bytes(itertools.chain.from_iterable(tail))
             hit = self.seen.get(key)
             if hit is not None:
@@ -389,8 +385,6 @@ class _Search:
             action[sigma] = (image, maps[image[0]])
         self.gens.append(g)
         self.actions.append(action)
-        if self.seen is None:
-            self.seen = {}
         # this loop is the cost of a generator
         index, triples = self.index, self.triples
         for u in range(t, len(triples)):

@@ -126,8 +126,6 @@ def cmd_census(args, report: Report) -> int:
         raise ValueError(f"--n-max must be at least 3, got {args.n_max}")
     if args.n_max >= 10 and not args.stretch:
         raise LatinError("columns n >= 10 are stretch runs; pass --stretch")
-    if args.n_max >= 9 and not (args.long or args.stretch):
-        raise LatinError("column n = 9 is a long run; pass --long")
     mismatches = 0
     for n in range(3, args.n_max + 1):
         col = generate.classify_column(n, n, jobs=args.jobs,
@@ -298,11 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--work-dir", default=os.environ.get("K33FREE_WORK_DIR"))
     sp.set_defaults(func=cmd_enumerate)
 
-    sp = sub.add_parser("census", help="regenerate and diff the census tables")
+    sp = sub.add_parser("census", help="regenerate and diff the census tables (n<=9: ~20 s)")
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--long", action="store_true",
-                    help="allow the n=9 column (tens of seconds)")
     sp.add_argument("--stretch", action="store_true",
                     help="allow the n>=10 columns (CPU-hours; memory-bound)")
     sp.add_argument("--progress", action="store_true")
@@ -366,6 +362,9 @@ def main(argv=None) -> int:
     except (LatinError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except generate.DoubleCountError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

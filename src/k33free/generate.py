@@ -73,7 +73,7 @@ from multiprocessing import Pool
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from . import canon
+from . import canon, pattern
 from .core import CONJ_ID, LatinError, LatinRectangle, Paratopism, shape_preserving_conjs, validate
 
 #: least seconds between two ``progress`` lines while a level runs
@@ -231,7 +231,8 @@ def _orbit_representatives(
     elements that fix it.  The elements fix the parent rows, so each maps a
     child to the child with the image row; marking every image of a kept row
     costs orbits x |stab| instead of rows x |stab|.  Orbits are disjoint, so
-    an orbit's size is the number of images it adds to ``seen``.
+    an orbit's size is the number of rows it adds to ``seen``, the kept row
+    included; an empty ``stab`` stands for the identity alone.
     """
     seen: set[tuple[int, ...]] = set()
     kept = []
@@ -239,7 +240,8 @@ def _orbit_representatives(
         if row in seen:
             continue
         before = len(seen)
-        fixing: set[tuple[int, int, int]] = set()
+        seen.add(row)
+        fixing = {CONJ_ID}
         for g in stab:
             gamma, lam = g.gamma, g.lam
             image = [0] * len(row)
@@ -360,10 +362,8 @@ def _process_parent(args) -> Extension:
     certified: dict[tuple, ClassStats] = {}
     children: dict[tuple, ClassStats] = {}
     if any(map(verdict, rows)):
-        if order == 1:
-            identity = tuple(range(n))
-            elements = [Paratopism(tuple(range(parent.m)), identity, identity)]
-        else:
+        elements: Sequence[Paratopism] = ()
+        if order != 1:
             stab = canon.canonical_with_stabilizer(parent, "main")
             order, elements = stab.order, stab.elements
         conjs = len(shape_preserving_conjs(parent.m + 1, n))
@@ -535,7 +535,7 @@ def _class_entry(e: dict, m: int, n: int, group: int) -> tuple[tuple, ClassStats
     """One stored class as (rows, stats); ValueError unless it is well formed.
 
     The stabilizer order must divide the order ``group`` of the level's
-    paratopism group, and the rows must be an m-by-n latin rectangle.
+    paratopism group; the rows must be a K3,3-free m-by-n latin rectangle.
     """
     rows, order, iso = e["rows"], e["stab_order"], e["iso_classes"]
     for name, value in (("stab_order", order), ("iso_classes", iso)):
@@ -546,7 +546,10 @@ def _class_entry(e: dict, m: int, n: int, group: int) -> tuple[tuple, ClassStats
     if len(rows) != m or any(len(row) != n or any(type(x) is not int for x in row)
                              for row in rows):
         raise ValueError(f"rows are not an {m}x{n} grid of integers")
-    return validate(rows).rows, (order, iso)
+    rect = validate(rows)
+    if not pattern.is_k33_free(rect):
+        raise ValueError(f"rows {rect.rows} hold a K3,3 witness")
+    return rect.rows, (order, iso)
 
 
 def _load_level(out_path, n, m):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import group_table, load_switch
-from k33free import cli, fixtures
+from k33free import cli, fixtures, generate
 from k33free.core import linear_square, parse, serialize, serialize_catalog
 
 
@@ -115,9 +115,19 @@ def test_resumed_run_leaves_the_checkpoints_untouched(capsys, tmp_path):
     assert [(f.stat().st_mtime_ns, f.read_bytes()) for f in files] == before
 
 
-def test_census_gating(capsys):
-    assert cli.main(["census", "--n-max", "9"]) == 2
-    assert cli.main(["census", "--n-max", "10", "--long"]) == 2
+def test_census_gating(monkeypatch, capsys):
+    # columns n >= 10 need --stretch; the n = 9 column needs no flag
+    assert cli.main(["census", "--n-max", "10"]) == 2
+    columns = []
+
+    def classify_column(n, m_max, **kwargs):
+        columns.append(n)
+        return {m: generate.ClassificationResult(m, n, {}, 0) for m in range(1, m_max + 1)}
+
+    monkeypatch.setattr(generate, "classify_column", classify_column)
+    # the stub's empty levels disagree with the tables: a mismatch, not a refusal
+    assert cli.main(["census", "--n-max", "9"]) == 1
+    assert columns == list(range(3, 10))
 
 
 def one_line_error(capsys, *argv):
@@ -175,6 +185,7 @@ def test_stale_checkpoint_is_an_input_error(capsys, tmp_path):
     ("rows", [[0, 1, 2, 3, 4, 5]] * 2),
     ("rows", [[0, 1, 2, 3, 4, 5]] * 3),  # not latin
     ("rows", [[0, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0], [2, 3, 4, 5, 0, 1.5]]),
+    ("rows", [[0, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0], [2, 3, 4, 5, 0, 1]]),  # holds a K3,3
     ("raw_extensions", "x"),
     ("raw_extensions", -1),
 ])
@@ -188,6 +199,21 @@ def test_malformed_checkpoint_is_an_input_error(capsys, tmp_path, field, value):
     f.write_text(json.dumps(payload))
     assert one_line_error(capsys, "enumerate", "--m", "4", "--n", "6",
                           "--work-dir", str(work)) == 2
+
+
+def test_failed_double_count_is_a_one_line_mismatch(capsys, tmp_path):
+    # a stored order that divides the group order but is wrong passes the
+    # load checks, and the next level's two totals then disagree
+    work = tmp_path / "work"
+    assert cli.main(["enumerate", "--m", "3", "--n", "6", "--work-dir", str(work)]) == 0
+    capsys.readouterr()
+    f = work / "level_3x6.json"
+    payload = json.loads(f.read_text())
+    assert payload["classes"][0]["stab_order"] != 1
+    payload["classes"][0]["stab_order"] = 1
+    f.write_text(json.dumps(payload))
+    code = one_line_error(capsys, "enumerate", "--m", "4", "--n", "6", "--work-dir", str(work))
+    assert code == 1
 
 
 def test_enumerate_two_by_two(capsys):

@@ -175,6 +175,19 @@ def test_orbit_reduction_keeps_every_child_class(m, n, sample):
     assert certified > 0
 
 
+def test_orbit_representatives_with_no_elements_is_the_trivial_stabilizer():
+    # an empty stabilizer stands for the identity alone: every new row is its
+    # own orbit, fixed by the identity conjugation, as when the identity is
+    # passed
+    for rep in generate.classify_column(6, 3)[3].representatives:
+        cands = generate.candidates(rep)
+        rows = generate.cliques_of_size(cands, generate.compatibility_graph(rep, cands), 6)
+        identity = Paratopism(tuple(range(3)), tuple(range(6)), tuple(range(6)))
+        alone = [(row, 1, {CONJ_ID}) for row in rows]
+        assert generate._orbit_representatives(rows, ()) == alone
+        assert generate._orbit_representatives(rows, [identity]) == alone
+
+
 def _certified_children(n, m):
     """(rows, stats) of every child certified at level m of column n."""
     out = []
